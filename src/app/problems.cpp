@@ -1,9 +1,11 @@
 #include "app/problems.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "hydro/kernels.hpp"
 #include "pdat/cuda/cuda_data.hpp"
+#include "vgpu/launch_batch.hpp"
 
 namespace ramr::app {
 
@@ -48,21 +50,43 @@ void HydroProblem::initialize_level_data(hier::Patch& patch,
         ss(i, j) = std::sqrt(gamma * pressure / rho);
       });
 
-  // Velocities and work arrays start at rest / zero. Viscosity is in the
-  // list too: it is recomputed from pressure gradients each step, but the
-  // timestep and acceleration kernels read its ghost cells, which on a
-  // freshly created patch would otherwise be raw allocations.
+  // Velocities and work arrays start at rest / zero, node masses at one
+  // (advec_mom divides by them before the first real step). Viscosity is
+  // in the list too: it is recomputed from pressure gradients each step,
+  // but the timestep and acceleration kernels read its ghost cells, which
+  // on a freshly created patch would otherwise be raw allocations. Every
+  // plane of every array is its own segment of ONE fused fill launch.
+  struct PlaneFill {
+    util::View v;
+    double value;
+  };
+  std::vector<PlaneFill> fills;
+  vgpu::SegmentTable planes;
   for (int id : {fields_.viscosity,
                  fields_.xvel0, fields_.xvel1, fields_.yvel0, fields_.yvel1,
                  fields_.vol_flux, fields_.mass_flux, fields_.pre_vol,
                  fields_.post_vol, fields_.ener_flux, fields_.node_flux,
                  fields_.node_mass_post, fields_.node_mass_pre,
                  fields_.mom_flux}) {
-    patch.typed_data<CudaData>(id).fill(0.0);
+    const double value =
+        id == fields_.node_mass_post || id == fields_.node_mass_pre ? 1.0
+                                                                    : 0.0;
+    auto& data = patch.typed_data<CudaData>(id);
+    for (int k = 0; k < data.components(); ++k) {
+      const auto& array = data.component(k);
+      const Box ib = array.index_box();
+      for (int d = 0; d < array.depth(); ++d) {
+        planes.add(ib.lower().i, ib.lower().j, ib.width(), ib.height(),
+                   fills.size());
+        fills.push_back(PlaneFill{array.device_view(d), value});
+      }
+    }
   }
-  // Avoid zero node masses in advec_mom before the first real step.
-  patch.typed_data<CudaData>(fields_.node_mass_pre).fill(1.0);
-  patch.typed_data<CudaData>(fields_.node_mass_post).fill(1.0);
+  const PlaneFill* pf = fills.data();
+  dev.launch_batched(stream, planes, vgpu::KernelCost{0.0, 8.0},
+                     [pf](std::size_t s, int i, int j) {
+                       pf[s].v(i, j) = pf[s].value;
+                     });
 
   // Scenarios with bulk motion (Kelvin-Helmholtz shear layers) overwrite
   // the at-rest velocities analytically at node coordinates, full ghost

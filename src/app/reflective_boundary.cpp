@@ -1,125 +1,57 @@
 #include "app/reflective_boundary.hpp"
 
+#include <initializer_list>
+
 #include "pdat/cuda/cuda_data.hpp"
 #include "util/error.hpp"
+#include "vgpu/launch_batch.hpp"
 
 namespace ramr::app {
 
 using mesh::Box;
 using mesh::Centering;
-using mesh::IntVector;
 using pdat::cuda::CudaArrayData;
 using pdat::cuda::CudaData;
 
 ReflectiveBoundary::ReflectiveBoundary(const Fields& f) {
-  const auto set = [&](int id, Parity p0,
-                       Parity p1 = Parity{}) {
-    std::vector<Parity> ps{p0};
-    if (id == f.vol_flux || id == f.mass_flux) {
-      ps.push_back(p1);
+  const auto set = [&](std::initializer_list<int> ids,
+                       const std::vector<Parity>& per_component) {
+    for (int id : ids) {
+      parity_[id] = per_component;
     }
-    parity_[id] = std::move(ps);
   };
   const Parity sym{1.0, 1.0};
-  for (int id : {f.density0, f.density1, f.energy0, f.energy1, f.pressure,
-                 f.viscosity, f.soundspeed, f.pre_vol, f.post_vol}) {
-    set(id, sym);
-  }
-  for (int id : {f.xvel0, f.xvel1}) {
-    set(id, Parity{-1.0, 1.0});
-  }
-  for (int id : {f.yvel0, f.yvel1}) {
-    set(id, Parity{1.0, -1.0});
-  }
+  set({f.density0, f.density1, f.energy0, f.energy1, f.pressure, f.viscosity,
+       f.soundspeed, f.pre_vol, f.post_vol},
+      {sym});
+  set({f.xvel0, f.xvel1}, {Parity{-1.0, 1.0}});
+  set({f.yvel0, f.yvel1}, {Parity{1.0, -1.0}});
   // Side data: x-face component flips across x, y-face across y.
-  for (int id : {f.vol_flux, f.mass_flux, f.ener_flux}) {
-    if (id == f.ener_flux) {
-      set(id, Parity{-1.0, 1.0}, Parity{1.0, -1.0});
-      parity_[id] = {Parity{-1.0, 1.0}, Parity{1.0, -1.0}};
-      continue;
-    }
-    set(id, Parity{-1.0, 1.0}, Parity{1.0, -1.0});
-  }
-  for (int id : {f.node_flux, f.node_mass_post, f.node_mass_pre, f.mom_flux}) {
-    set(id, sym);
-  }
+  set({f.vol_flux, f.mass_flux, f.ener_flux},
+      {Parity{-1.0, 1.0}, Parity{1.0, -1.0}});
+  set({f.node_flux, f.node_mass_post, f.node_mass_pre, f.mom_flux}, {sym});
 }
 
 namespace {
 
-/// Mirrors ghost entries of `array` across one domain edge.
-///
-/// `axis` 0 = x, 1 = y; `low_side` selects the domain edge. `node_like`
-/// marks index spaces with an entry *on* the boundary plane (nodes and
-/// normal faces): ghosts then mirror around the plane index b as
-/// a(b-k) = parity * a(b+k); cell-like spaces mirror around the plane as
-/// a(b-1-k+1)... i.e. a(blo-k) = parity * a(blo+k-1).
-/// `rows` restricts the orthogonal extent processed.
-void mirror(vgpu::Device& dev, vgpu::Stream& s, CudaArrayData& array, int axis,
-            bool low_side, bool node_like, int boundary_index, int ghosts,
-            const Box& rows_box, double parity) {
-  const Box ib = array.index_box();
-  const Box region = ib.intersect(rows_box);
-  if (region.empty() || ghosts <= 0) {
-    return;
-  }
-  util::View v = array.device_view();
-  const vgpu::KernelCost cost{1.0, 16.0};
-  if (axis == 0) {
-    const int jlo = region.lower().j;
-    const int h = region.height();
-    dev.launch2d(s, 1, jlo, ghosts, h, cost, [=](int k, int j) {
-      // k = 1..ghosts
-      int ghost_i, src_i;
-      if (low_side) {
-        if (node_like) {
-          ghost_i = boundary_index - k;
-          src_i = boundary_index + k;
-        } else {
-          ghost_i = boundary_index - k;          // boundary_index = first cell
-          src_i = boundary_index + k - 1;
-        }
-      } else {
-        if (node_like) {
-          ghost_i = boundary_index + k;
-          src_i = boundary_index - k;
-        } else {
-          ghost_i = boundary_index + k;          // boundary_index = last cell
-          src_i = boundary_index - k + 1;
-        }
-      }
-      if (v.contains(ghost_i, j) && v.contains(src_i, j)) {
-        v(ghost_i, j) = parity * v(src_i, j);
-      }
-    });
-  } else {
-    const int ilo = region.lower().i;
-    const int w = region.width();
-    dev.launch2d(s, ilo, 1, w, ghosts, cost, [=](int i, int k) {
-      int ghost_j, src_j;
-      if (low_side) {
-        if (node_like) {
-          ghost_j = boundary_index - k;
-          src_j = boundary_index + k;
-        } else {
-          ghost_j = boundary_index - k;
-          src_j = boundary_index + k - 1;
-        }
-      } else {
-        if (node_like) {
-          ghost_j = boundary_index + k;
-          src_j = boundary_index - k;
-        } else {
-          ghost_j = boundary_index + k;
-          src_j = boundary_index - k + 1;
-        }
-      }
-      if (v.contains(i, ghost_j) && v.contains(i, src_j)) {
-        v(i, ghost_j) = parity * v(i, src_j);
-      }
-    });
-  }
-}
+/// One ghost strip of one component plane, mirrored across a domain
+/// edge: ghost row (or column) `boundary + dir*k` takes
+/// `parity * a(boundary - dir*(k - cell_shift))` for k = 1..ghosts.
+/// `dir` is -1 on a low edge and +1 on a high one. Node-like index spaces
+/// (nodes, normal faces) have an entry ON the boundary plane and mirror
+/// around it (cell_shift 0, `boundary` = the plane index); cell-like ones
+/// mirror around the face between the first/last cell and its ghost
+/// (cell_shift 1, `boundary` = the first/last cell).
+struct Mirror {
+  util::View v;
+  int boundary = 0;
+  int dir = 1;
+  int cell_shift = 0;
+  double parity = 1.0;
+
+  int ghost(int k) const { return boundary + dir * k; }
+  int source(int k) const { return boundary - dir * (k - cell_shift); }
+};
 
 /// True when the component index space has an entry on the boundary
 /// plane normal to `axis`.
@@ -139,60 +71,103 @@ bool is_node_like(Centering comp, int axis) {
 }  // namespace
 
 void ReflectiveBoundary::fill_physical_boundaries(
-    hier::Patch& patch, const Box& domain, const std::vector<int>& var_ids) {
-  auto* first = dynamic_cast<CudaData*>(&patch.data(var_ids.front()));
-  RAMR_REQUIRE(first != nullptr, "reflective BC requires device data");
-  vgpu::Device& dev = first->device();
-  vgpu::Stream stream(dev, "bc");
-
-  const Box& pbox = patch.box();
-  const bool at_xlo = pbox.lower().i == domain.lower().i;
-  const bool at_xhi = pbox.upper().i == domain.upper().i;
-  const bool at_ylo = pbox.lower().j == domain.lower().j;
-  const bool at_yhi = pbox.upper().j == domain.upper().j;
-  if (!(at_xlo || at_xhi || at_ylo || at_yhi)) {
-    return;
-  }
-
-  for (int id : var_ids) {
-    const auto it = parity_.find(id);
-    RAMR_REQUIRE(it != parity_.end(), "no parity registered for variable " << id);
-    auto& data = patch.typed_data<CudaData>(id);
-    const int g = data.ghost_cell_width().i;
-    for (int k = 0; k < data.components(); ++k) {
-      const Centering comp =
-          mesh::component_centering(data.centering(), k);
-      CudaArrayData& array = data.component(k);
-      const Parity par = it->second[static_cast<std::size_t>(k)];
-      const Box all = array.index_box();
-
-      // CloverLeaf's two-pass order: bottom/top over the full width
-      // first, then left/right over the full height — the second pass
-      // mirrors corner ghosts from columns the first pass made valid.
-      if (at_ylo) {
-        const bool nl = is_node_like(comp, 1);
-        mirror(dev, stream, array, 1, true, nl, domain.lower().j, g, all,
-               par.across_y);
+    std::span<hier::Patch* const> patches, const Box& domain,
+    const std::vector<int>& var_ids) {
+  // Every mirror strip of the level goes into one of two fused launches,
+  // in CloverLeaf's two-pass order: bottom/top strips over the full
+  // width first, then left/right strips over the full height — the
+  // second pass mirrors corner ghosts from columns the first pass made
+  // valid. Within a pass each strip writes only its own ghost rows (or
+  // columns) of its own plane and reads only rows that are not ghosts of
+  // the same pass, so strips are independent and the fused launches give
+  // the per-strip results bit for bit.
+  std::vector<Mirror> mirrors;
+  vgpu::SegmentTable bottom_top;  // body(arg, i, k)
+  vgpu::SegmentTable left_right;  // body(arg, k, j)
+  vgpu::Device* dev = nullptr;
+  for (hier::Patch* patch : patches) {
+    const Box& pbox = patch->box();
+    const bool at_lo[2] = {pbox.lower().i == domain.lower().i,
+                           pbox.lower().j == domain.lower().j};
+    const bool at_hi[2] = {pbox.upper().i == domain.upper().i,
+                           pbox.upper().j == domain.upper().j};
+    if (!(at_lo[0] || at_hi[0] || at_lo[1] || at_hi[1])) {
+      continue;
+    }
+    for (int id : var_ids) {
+      const auto it = parity_.find(id);
+      RAMR_REQUIRE(it != parity_.end(),
+                   "no parity registered for variable " << id);
+      auto& data = patch->typed_data<CudaData>(id);
+      RAMR_REQUIRE(dev == nullptr || dev == &data.device(),
+                   "reflective BC patches must share one device");
+      dev = &data.device();
+      const int g = data.ghost_cell_width().i;
+      if (g <= 0) {
+        continue;
       }
-      if (at_yhi) {
-        const bool nl = is_node_like(comp, 1);
-        const int b = nl ? mesh::to_centering(domain, comp).upper().j
-                         : domain.upper().j;
-        mirror(dev, stream, array, 1, false, nl, b, g, all, par.across_y);
+      for (int axis : {0, 1}) {
+        // A patch touching both edges of an axis must be at least the
+        // ghost width thick there, or one edge's strip would read the
+        // other's ghosts within the same pass.
+        RAMR_REQUIRE(!(at_lo[axis] && at_hi[axis]) ||
+                         (axis == 0 ? pbox.width() : pbox.height()) >= g,
+                     "patch " << pbox << " spans the domain along axis "
+                              << axis << " but is thinner than " << g
+                              << " ghosts");
       }
-      if (at_xlo) {
-        const bool nl = is_node_like(comp, 0);
-        mirror(dev, stream, array, 0, true, nl, domain.lower().i, g, all,
-               par.across_x);
-      }
-      if (at_xhi) {
-        const bool nl = is_node_like(comp, 0);
-        const int b = nl ? mesh::to_centering(domain, comp).upper().i
-                         : domain.upper().i;
-        mirror(dev, stream, array, 0, false, nl, b, g, all, par.across_x);
+      for (int k = 0; k < data.components(); ++k) {
+        const Centering comp = mesh::component_centering(data.centering(), k);
+        CudaArrayData& array = data.component(k);
+        const Parity par = it->second[static_cast<std::size_t>(k)];
+        const Box ib = array.index_box();
+        const Box cdomain = mesh::to_centering(domain, comp);
+        for (int axis : {1, 0}) {
+          const bool nl = is_node_like(comp, axis);
+          const double parity = axis == 0 ? par.across_x : par.across_y;
+          for (int dir : {-1, 1}) {
+            if (!(dir < 0 ? at_lo[axis] : at_hi[axis])) {
+              continue;
+            }
+            const int b = dir < 0 ? domain.lower()[axis]
+                                  : (nl ? cdomain : domain).upper()[axis];
+            const std::size_t arg = mirrors.size();
+            mirrors.push_back(
+                Mirror{array.device_view(), b, dir, nl ? 0 : 1, parity});
+            if (axis == 1) {
+              bottom_top.add(ib.lower().i, 1, ib.width(), g, arg);
+            } else {
+              left_right.add(1, ib.lower().j, g, ib.height(), arg);
+            }
+          }
+        }
       }
     }
   }
+  if (dev == nullptr) {
+    return;
+  }
+  vgpu::Stream stream(*dev, "bc");
+  const vgpu::KernelCost cost{1.0, 16.0};
+  const Mirror* m = mirrors.data();
+  dev->launch_batched(stream, bottom_top, cost,
+                      [m](std::size_t s, int i, int k) {
+                        const Mirror& r = m[s];
+                        const int gj = r.ghost(k);
+                        const int sj = r.source(k);
+                        if (r.v.contains(i, gj) && r.v.contains(i, sj)) {
+                          r.v(i, gj) = r.parity * r.v(i, sj);
+                        }
+                      });
+  dev->launch_batched(stream, left_right, cost,
+                      [m](std::size_t s, int k, int j) {
+                        const Mirror& r = m[s];
+                        const int gi = r.ghost(k);
+                        const int si = r.source(k);
+                        if (r.v.contains(gi, j) && r.v.contains(si, j)) {
+                          r.v(gi, j) = r.parity * r.v(si, j);
+                        }
+                      });
 }
 
 }  // namespace ramr::app

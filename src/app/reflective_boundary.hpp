@@ -1,7 +1,9 @@
 // CloverLeaf's reflective physical boundary conditions as device
 // kernels. Ghost values mirror the interior with a per-field parity:
 // thermodynamic fields reflect symmetrically, the wall-normal velocity
-// and flux components flip sign.
+// and flux components flip sign. A level's whole fill is two fused
+// launches (docs/kernel_batching.md, "Boundary and initialization
+// launches").
 #pragma once
 
 #include <map>
@@ -23,7 +25,7 @@ class ReflectiveBoundary : public xfer::PhysicalBoundaryStrategy {
  public:
   explicit ReflectiveBoundary(const Fields& fields);
 
-  void fill_physical_boundaries(hier::Patch& patch,
+  void fill_physical_boundaries(std::span<hier::Patch* const> patches,
                                 const mesh::Box& level_domain_box,
                                 const std::vector<int>& var_ids) override;
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/ordered_sum.hpp"
 
 namespace ramr::hydro {
 
@@ -948,34 +949,24 @@ FieldSummary field_summary(vgpu::Device& dev, vgpu::Stream& s, const Box& box,
   const int ilo = box.lower().i;
   const int jlo = box.lower().j;
   const int w = box.width();
-  // Three reductions expressed through reduce_min on negated partial sums
-  // would be awkward; use one pass with a mutex-combined accumulator and
-  // charge it as a single summary kernel (CloverLeaf's field_summary).
+  // One summary kernel (CloverLeaf's field_summary) producing all three
+  // totals; ordered_sum fixes the association so the totals are the same
+  // bits for any worker count.
   dev.charge_reduction(box.size() * 4, 8.0);
-  std::mutex m;
-  FieldSummary total;
-  util::ThreadPool::global().parallel_for(
-      box.size(), [&](std::int64_t begin, std::int64_t end) {
-        FieldSummary local;
-        for (std::int64_t t = begin; t < end; ++t) {
-          const int i = ilo + static_cast<int>(t % w);
-          const int j = jlo + static_cast<int>(t / w);
-          const double cell_mass = density0(i, j) * volume;
-          local.mass += cell_mass;
-          local.internal_energy += cell_mass * energy0(i, j);
-          double vsqrd = 0.0;
-          for (int kj = j; kj <= j + 1; ++kj) {
-            for (int ki = i; ki <= i + 1; ++ki) {
-              vsqrd += 0.25 * (xvel0(ki, kj) * xvel0(ki, kj) +
-                               yvel0(ki, kj) * yvel0(ki, kj));
-            }
+  const FieldSummary total = util::ordered_sum<FieldSummary>(
+      box.size(), [=](std::int64_t t) {
+        const int i = ilo + static_cast<int>(t % w);
+        const int j = jlo + static_cast<int>(t / w);
+        const double cell_mass = density0(i, j) * volume;
+        double vsqrd = 0.0;
+        for (int kj = j; kj <= j + 1; ++kj) {
+          for (int ki = i; ki <= i + 1; ++ki) {
+            vsqrd += 0.25 * (xvel0(ki, kj) * xvel0(ki, kj) +
+                             yvel0(ki, kj) * yvel0(ki, kj));
           }
-          local.kinetic_energy += cell_mass * 0.5 * vsqrd;
         }
-        std::lock_guard<std::mutex> lock(m);
-        total.mass += local.mass;
-        total.internal_energy += local.internal_energy;
-        total.kinetic_energy += local.kinetic_energy;
+        return FieldSummary{cell_mass, cell_mass * energy0(i, j),
+                            cell_mass * 0.5 * vsqrd};
       });
   dev.charge_scalar_readback();
   (void)s;

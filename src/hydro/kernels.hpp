@@ -294,6 +294,13 @@ struct FieldSummary {
   double mass = 0.0;
   double internal_energy = 0.0;
   double kinetic_energy = 0.0;
+
+  FieldSummary& operator+=(const FieldSummary& o) {
+    mass += o.mass;
+    internal_energy += o.internal_energy;
+    kinetic_energy += o.kinetic_energy;
+    return *this;
+  }
 };
 FieldSummary field_summary(vgpu::Device& dev, vgpu::Stream& s,
                            const mesh::Box& box, const CellGeom& g,

@@ -158,17 +158,23 @@ double Communicator::allreduce(double value, ReduceOp op) {
   std::unique_lock<std::mutex> lock(c.mutex);
   const std::uint64_t generation = c.generation;
   c.fold_time(c.arrived == 0, my_time);
+  // Each rank deposits its value; the last arrival folds them in RANK
+  // order, so a floating-point sum is the same bits whatever order the
+  // ranks arrive in.
   if (c.arrived == 0) {
-    c.dvalue = value;
-  } else {
-    switch (op) {
-      case ReduceOp::kMin: c.dvalue = std::min(c.dvalue, value); break;
-      case ReduceOp::kMax: c.dvalue = std::max(c.dvalue, value); break;
-      case ReduceOp::kSum: c.dvalue += value; break;
-    }
+    c.dvalues.assign(static_cast<std::size_t>(size()), 0.0);
   }
+  c.dvalues[static_cast<std::size_t>(rank())] = value;
   if (++c.arrived == size()) {
-    c.dresult = c.dvalue;
+    double result = c.dvalues.front();
+    for (std::size_t r = 1; r < c.dvalues.size(); ++r) {
+      switch (op) {
+        case ReduceOp::kMin: result = std::min(result, c.dvalues[r]); break;
+        case ReduceOp::kMax: result = std::max(result, c.dvalues[r]); break;
+        case ReduceOp::kSum: result += c.dvalues[r]; break;
+      }
+    }
+    c.dresult = result;
     c.publish_time();
     c.arrived = 0;
     ++c.generation;

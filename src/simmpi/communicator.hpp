@@ -231,7 +231,7 @@ class World {
     /// under the mutex, before notifying).
     void publish_time() { tmax_result = tmax; }
 
-    double dvalue = 0.0;
+    std::vector<double> dvalues;  ///< per-rank allreduce inputs
     std::int64_t ivalue = 0;
     double dresult = 0.0;
     std::int64_t iresult = 0;

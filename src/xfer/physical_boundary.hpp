@@ -5,6 +5,7 @@
 // same-level and coarse-to-fine fills complete.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "hier/patch.hpp"
@@ -17,9 +18,12 @@ class PhysicalBoundaryStrategy {
  public:
   virtual ~PhysicalBoundaryStrategy() = default;
 
-  /// Fills all ghost regions of `patch` outside `level_domain_box` for
-  /// the listed variables. Interior-adjacent values are already valid.
-  virtual void fill_physical_boundaries(hier::Patch& patch,
+  /// Fills all ghost regions outside `level_domain_box` of every listed
+  /// patch for the listed variables. The patches are one device's local
+  /// patches of a level, so an implementation can fuse the whole level's
+  /// fill into a few launches. Interior-adjacent values are already
+  /// valid.
+  virtual void fill_physical_boundaries(std::span<hier::Patch* const> patches,
                                         const mesh::Box& level_domain_box,
                                         const std::vector<int>& var_ids) = 0;
 };

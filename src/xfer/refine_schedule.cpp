@@ -1,6 +1,7 @@
 #include "xfer/refine_schedule.hpp"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -601,21 +602,23 @@ void RefineSchedule::execute_physical_boundaries() {
   if (bc_ == nullptr) {
     return;
   }
-  // Per-device fan-out: each patch's reflective fills ride its device's
-  // compute lane, so a multi-device rank applies physical BCs on all
-  // devices concurrently.
+  // One level-wide call per device: each device's patches are filled by
+  // the strategy in one go, on that device's compute lane, so a
+  // multi-device rank applies physical BCs on all devices concurrently.
   vgpu::Timeline* tl =
       ctx_->topology != nullptr && ctx_->topology->device_count() > 1
           ? ctx_->timeline
           : nullptr;
   double join = tl != nullptr ? tl->now(tl->active_lane()) : 0.0;
+  std::map<int, std::vector<hier::Patch*>> by_device;
   for (const auto& patch : dst_level_->local_patches()) {
+    by_device[patch->device_ordinal()].push_back(patch.get());
+  }
+  for (const auto& [ordinal, patches] : by_device) {
     vgpu::LaneScope scope(
-        tl, fork_gpu_lane(
-                tl, tl != nullptr
-                        ? &ctx_->topology->device(patch->device_ordinal())
-                        : nullptr));
-    bc_->fill_physical_boundaries(*patch, dst_level_->domain_box(), var_ids_);
+        tl, fork_gpu_lane(tl, tl != nullptr ? &ctx_->topology->device(ordinal)
+                                            : nullptr));
+    bc_->fill_physical_boundaries(patches, dst_level_->domain_box(), var_ids_);
     if (tl != nullptr) {
       join = std::max(join, tl->now(tl->active_lane()));
     }

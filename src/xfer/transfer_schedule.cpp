@@ -224,7 +224,7 @@ void TransferSchedule::compile_plans() {
   plans_compiled_ = true;
 }
 
-bool TransferSchedule::bind(TransferDelegate& delegate) {
+TransferSchedule::Binding TransferSchedule::bind(TransferDelegate& delegate) {
   bindings_.assign(transactions_.size(), TransferEndpoints{});
   plan_device_ = nullptr;
   multi_device_ = false;
@@ -267,12 +267,17 @@ bool TransferSchedule::bind(TransferDelegate& delegate) {
     }
     bindings_[i] = ep;
   }
-  const bool compiled = viewable && plan_device_ != nullptr;
-  multi_device_ = multi_device_ && compiled;
+  if (!viewable) {
+    multi_device_ = false;
+    return Binding::kLegacy;
+  }
+  if (plan_device_ == nullptr) {
+    return Binding::kEmpty;
+  }
   if (multi_device_) {
     build_device_parts();
   }
-  return compiled;
+  return Binding::kViewable;
 }
 
 void TransferSchedule::build_device_parts() {
@@ -368,8 +373,16 @@ void TransferSchedule::execute_begin(TransferDelegate& delegate) {
   const bool remote = !send_messages_.empty() || !recv_messages_.empty();
   RAMR_REQUIRE(!remote || ctx_->comm != nullptr,
                "distributed transfer plan without a communicator");
-  const bool viewable = bind(delegate);
+  const Binding binding = bind(delegate);
   in_flight_ = true;
+  flight_compiled_ = false;
+  if (binding == Binding::kEmpty) {
+    // No transaction touches this rank, so there is nothing to pack,
+    // send, receive or apply on any path.
+    RAMR_DEBUG_ASSERT(!remote);
+    return;
+  }
+  const bool viewable = binding == Binding::kViewable;
   flight_compiled_ = ctx_->compiled_transfer && viewable;
   if (ctx_->compiled_transfer && !viewable) {
     // Wanted the fast path, demoted to legacy: surfaced through the run

@@ -207,7 +207,8 @@ class TransferSchedule {
     return n;
   }
 
-  /// How many executes ran the compiled / legacy path.
+  /// How many executes ran the compiled / legacy path. An execute with no
+  /// transaction on this rank is a no-op and counts as neither.
   std::uint64_t compiled_executions() const { return compiled_executions_; }
   std::uint64_t legacy_executions() const { return legacy_executions_; }
 
@@ -275,7 +276,13 @@ class TransferSchedule {
   };
 
   void compile_plans();
-  bool bind(TransferDelegate& delegate);
+  /// What bind() found on this rank.
+  enum class Binding {
+    kEmpty,     ///< no transaction touches this rank: nothing to execute
+    kViewable,  ///< every endpoint exports views: the compiled plans apply
+    kLegacy,    ///< some endpoint lacks views: per-transaction path only
+  };
+  Binding bind(TransferDelegate& delegate);
   void build_device_parts();
   void execute_compiled_begin();
   void execute_compiled_finish();

@@ -130,6 +130,28 @@ TEST(Service, PerJobMetricsSurfaceTransferAndGriddingCounters) {
   EXPECT_EQ(m.find("overlap"), nullptr);
 }
 
+TEST(Service, BatchRunsWithoutPlanFallbacks) {
+  // Every exchange of a served batch takes the compiled transfer path or,
+  // when no transaction touches the rank (a one-patch level's same-level
+  // fill), is a no-op — never the per-transaction fallback.
+  svc::ServerConfig sc;
+  sc.max_concurrent_jobs = 2;
+  sc.fuse_across_jobs = true;
+  svc::SimulationServer server(sc);
+  server.submit({"sod", small_sod(6)});
+  cfg::RunConfig tp = small_sod(6);
+  tp.sim.problem = "triple_point";
+  server.submit({"triple_point", tp});
+  server.run();
+  for (int id = 0; id < 2; ++id) {
+    const svc::JobStatus st = server.status(id);
+    ASSERT_EQ(st.state, svc::JobState::kDone) << "job " << id;
+    EXPECT_GT(metric(st.metrics, "transfer", "halo_fills"), 0.0);
+    EXPECT_EQ(metric(st.metrics, "transfer", "plan_fallbacks"), 0.0)
+        << "job " << id;
+  }
+}
+
 TEST(Service, SubmitRejectsUnservableConfigs) {
   svc::SimulationServer server(svc::ServerConfig{});
   cfg::RunConfig multirank = small_sod(2);

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "simmpi/communicator.hpp"
@@ -144,6 +147,37 @@ TEST(Communicator, AllreduceMinMaxSum) {
     const std::int64_t imine = comm.rank();
     EXPECT_EQ(comm.allreduce(imine, ReduceOp::kSum), 21);
   });
+}
+
+TEST(Communicator, AllreduceSumFoldsInRankOrderWhateverTheArrivalOrder) {
+  // Values whose floating-point sum depends on the association: only a
+  // fold in rank order gives the same bits on every round, whichever
+  // rank arrives last.
+  for (int ranks = 3; ranks <= 8; ++ranks) {
+    std::vector<double> values;
+    for (int r = 0; r < ranks; ++r) {
+      values.push_back(r % 3 == 0   ? 1.0e16
+                       : r % 3 == 1 ? 1.0 + 0.1 * r
+                                    : -1.0e16);
+    }
+    double expect = values[0];
+    for (int r = 1; r < ranks; ++r) {
+      expect += values[static_cast<std::size_t>(r)];
+    }
+    World world(ranks, ideal_network());
+    world.run([&](Communicator& comm) {
+      for (int round = 0; round < ranks; ++round) {
+        // Stagger arrivals: a different rank arrives last each round.
+        const int delay = (comm.rank() + round) % ranks;
+        std::this_thread::sleep_for(std::chrono::microseconds(200 * delay));
+        const double got = comm.allreduce(
+            values[static_cast<std::size_t>(comm.rank())], ReduceOp::kSum);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(expect))
+            << ranks << " ranks, round " << round;
+      }
+    });
+  }
 }
 
 TEST(Communicator, RepeatedCollectivesStayInSync) {

@@ -1,13 +1,16 @@
 // Unit tests for the util module: error handling, array views, the
-// thread pool and statistics helpers.
+// thread pool, reproducible summation and statistics helpers.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <numeric>
 #include <vector>
 
 #include "util/array_view.hpp"
 #include "util/error.hpp"
+#include "util/ordered_sum.hpp"
 #include "util/statistics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -92,6 +95,80 @@ TEST(ThreadPool, NestedCallsRunInline) {
     }
   });
   EXPECT_EQ(total.load(), 80);
+}
+
+/// Terms spanning many magnitudes, so any change of association changes
+/// the low bits of the sum.
+double wild_term(std::int64_t i) {
+  return std::sin(0.37 * static_cast<double>(i)) *
+         std::pow(10.0, static_cast<double>(i % 17) - 8.0);
+}
+
+/// The association ordered_sum promises, computed serially.
+double blocked_reference(std::int64_t n) {
+  double total = 0.0;
+  for (std::int64_t lo = 0; lo < n; lo += util::kOrderedSumBlock) {
+    double block = 0.0;
+    for (std::int64_t i = lo; i < std::min(n, lo + util::kOrderedSumBlock);
+         ++i) {
+      block += wild_term(i);
+    }
+    total += block;
+  }
+  return total;
+}
+
+TEST(OrderedSum, BitwiseEqualAcrossPoolSizes) {
+  for (const std::int64_t n : {std::int64_t{1}, std::int64_t{511},
+                               std::int64_t{512}, std::int64_t{513},
+                               std::int64_t{100003}}) {
+    const auto expect = std::bit_cast<std::uint64_t>(blocked_reference(n));
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      util::ThreadPool pool(workers);
+      // Several rounds per pool: chunk finish order varies run to run.
+      for (int round = 0; round < 5; ++round) {
+        const double got = util::ordered_sum<double>(n, wild_term, pool);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got), expect)
+            << "n=" << n << " workers=" << workers << " round=" << round;
+      }
+    }
+  }
+}
+
+TEST(OrderedSum, NestedInlineCallGivesTheSameBits) {
+  // Called from inside a pool body the loop runs inline on one thread;
+  // the fixed blocks keep the association, hence the bits, unchanged.
+  constexpr std::int64_t n = 20000;
+  util::ThreadPool pool(4);
+  const double outer = util::ordered_sum<double>(n, wild_term, pool);
+  std::vector<double> inner(8);
+  pool.parallel_for(8, [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t k = b; k < e; ++k) {
+      inner[static_cast<std::size_t>(k)] =
+          util::ordered_sum<double>(n, wild_term, pool);
+    }
+  });
+  for (const double v : inner) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+              std::bit_cast<std::uint64_t>(outer));
+  }
+}
+
+TEST(OrderedSum, EmptyRangeAndStructuredTerms) {
+  EXPECT_EQ(util::ordered_sum<double>(0, wild_term), 0.0);
+  struct Pair {
+    double a = 0.0;
+    std::int64_t b = 0;
+    Pair& operator+=(const Pair& o) {
+      a += o.a;
+      b += o.b;
+      return *this;
+    }
+  };
+  const Pair p = util::ordered_sum<Pair>(
+      2000, [](std::int64_t i) { return Pair{0.5, i}; });
+  EXPECT_EQ(p.a, 1000.0);
+  EXPECT_EQ(p.b, 2000 * 1999 / 2);
 }
 
 TEST(ThreadPool, SequentialReuse) {

@@ -1,16 +1,20 @@
 // Tests for the communication schedules: same-level ghost fill,
 // coarse-to-fine interpolation through device scratch, solution transfer
 // for regridding, fine-to-coarse synchronisation, and the physical
-// boundary hook — serial and distributed.
+// boundary hook and its fused launch budget — serial, multi-device and
+// distributed.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "app/fields.hpp"
+#include "app/reflective_boundary.hpp"
 #include "geom/coarsen_operators.hpp"
 #include "geom/refine_operators.hpp"
 #include "hier/patch_hierarchy.hpp"
 #include "pdat/cuda/cuda_data.hpp"
 #include "simmpi/communicator.hpp"
+#include "vgpu/topology.hpp"
 #include "xfer/coarsen_schedule.hpp"
 #include "xfer/refine_schedule.hpp"
 
@@ -179,9 +183,12 @@ TEST(RefineSchedule, SolutionTransferFillsInterior) {
 TEST(RefineSchedule, PhysicalBoundaryHookRuns) {
   struct MarkerBc : PhysicalBoundaryStrategy {
     int calls = 0;
-    void fill_physical_boundaries(hier::Patch&, const Box&,
+    std::size_t patches = 0;
+    void fill_physical_boundaries(std::span<hier::Patch* const> ps,
+                                  const Box&,
                                   const std::vector<int>& ids) override {
       ++calls;
+      patches += ps.size();
       EXPECT_EQ(ids.size(), 1u);
     }
   };
@@ -194,7 +201,113 @@ TEST(RefineSchedule, PhysicalBoundaryHookRuns) {
                                    f.hierarchy.variables(), f.ctx, &bc,
                                    FillMode::kGhostsOnly);
   sched->fill();
-  EXPECT_EQ(bc.calls, 2);  // both local patches
+  EXPECT_EQ(bc.calls, 1);     // one level-wide call for the one device
+  EXPECT_EQ(bc.patches, 2u);  // covering both local patches
+}
+
+/// One level of the application's fields on a 24x16 domain, so the real
+/// reflective boundaries run, with its patches spread over `devices`
+/// devices of one rank (GlobalPatch::device).
+struct BoundaryFixture {
+  vgpu::SimClock clock;
+  vgpu::Topology topology;
+  PatchHierarchy hierarchy;
+  app::Fields fields;
+  app::ReflectiveBoundary bc;
+  ParallelContext ctx;
+
+  BoundaryFixture(const std::vector<GlobalPatch>& patches, int devices)
+      : topology(spec(devices), vgpu::tesla_k20x(), &clock),
+        hierarchy(mesh::GridGeometry(Box(0, 0, 23, 15), {0.0, 0.0},
+                                     {1.5, 1.0}),
+                  1, IntVector(2, 2), 0, 1),
+        fields(app::Fields::register_all(hierarchy.variables(),
+                                         topology.device(0))),
+        bc(fields) {
+    if (devices > 1) {
+      ctx.topology = &topology;
+    }
+    auto level = std::make_shared<PatchLevel>(
+        0, IntVector(1, 1), IntVector(1, 1), patches, 0, hierarchy.geometry());
+    level->allocate_data(hierarchy.variables(), &topology);
+    hierarchy.set_level(0, level);
+  }
+
+  static vgpu::TopologySpec spec(int devices) {
+    vgpu::TopologySpec s;
+    s.device_count = devices;
+    return s;
+  }
+
+  /// Launches per device that the physical-boundary step adds to one
+  /// same-level ghost fill of a cell, a node and a side variable.
+  std::vector<std::uint64_t> boundary_launches() {
+    auto level = hierarchy.level_ptr(0);
+    RefineAlgorithm alg;
+    for (int id : {fields.density0, fields.xvel0, fields.vol_flux}) {
+      alg.add(RefineItem{id, nullptr});
+    }
+    auto with_bc = alg.create_schedule(level, level, nullptr,
+                                       hierarchy.variables(), ctx, &bc,
+                                       FillMode::kGhostsOnly);
+    auto without = alg.create_schedule(level, level, nullptr,
+                                       hierarchy.variables(), ctx, nullptr,
+                                       FillMode::kGhostsOnly);
+    const auto launches = [&] {
+      std::vector<std::uint64_t> n;
+      for (int d = 0; d < topology.device_count(); ++d) {
+        n.push_back(topology.device(d).launch_count());
+      }
+      return n;
+    };
+    const std::vector<std::uint64_t> l0 = launches();
+    with_bc->fill();
+    const std::vector<std::uint64_t> l1 = launches();
+    without->fill();
+    const std::vector<std::uint64_t> l2 = launches();
+    std::vector<std::uint64_t> out;
+    for (std::size_t d = 0; d < l0.size(); ++d) {
+      out.push_back((l1[d] - l0[d]) - (l2[d] - l1[d]));
+    }
+    return out;
+  }
+};
+
+/// Six patches tiling the 24x16 domain, touching all four edges; the
+/// first spans the full height. `device(n)` places patch n.
+std::vector<GlobalPatch> six_patches(int (*device)(int)) {
+  const std::vector<Box> boxes = {Box(0, 0, 5, 15),   Box(6, 0, 13, 7),
+                                  Box(6, 8, 13, 15),  Box(14, 0, 23, 4),
+                                  Box(14, 5, 23, 10), Box(14, 11, 23, 15)};
+  std::vector<GlobalPatch> out;
+  for (int n = 0; n < static_cast<int>(boxes.size()); ++n) {
+    out.push_back(GlobalPatch{boxes[static_cast<std::size_t>(n)], 0, n,
+                              device(n)});
+  }
+  return out;
+}
+
+TEST(RefineSchedule, PhysicalBoundariesCostTwoLaunchesPerDevice) {
+  // Whatever the patch count: one bottom/top and one left/right launch.
+  EXPECT_EQ(BoundaryFixture({{Box(0, 0, 23, 15), 0, 0}}, 1)
+                .boundary_launches(),
+            std::vector<std::uint64_t>{2});
+  EXPECT_EQ(BoundaryFixture(six_patches([](int) { return 0; }), 1)
+                .boundary_launches(),
+            std::vector<std::uint64_t>{2});
+  // A patch spanning the height but no x edge: the left/right pass is
+  // empty and launches nothing.
+  EXPECT_EQ(BoundaryFixture({{Box(4, 0, 19, 15), 0, 0}}, 1)
+                .boundary_launches(),
+            std::vector<std::uint64_t>{1});
+  // No patch touches a domain edge: no launch at all.
+  EXPECT_EQ(BoundaryFixture({{Box(4, 4, 19, 11), 0, 0}}, 1)
+                .boundary_launches(),
+            std::vector<std::uint64_t>{0});
+  // Two devices, each holding patches on all four edges: two each.
+  EXPECT_EQ(BoundaryFixture(six_patches([](int n) { return n % 2; }), 2)
+                .boundary_launches(),
+            (std::vector<std::uint64_t>{2, 2}));
 }
 
 TEST(CoarsenSchedule, VolumeWeightedSyncReplacesCoveredCells) {
