@@ -5,6 +5,8 @@
 // bounding box of its tags; accept when the fill efficiency is high
 // enough; otherwise split at a hole in a signature, at the strongest
 // inflection of the signature Laplacian, or at the midpoint, and recurse.
+// Signatures come from one summed-area table of the tags per call, so
+// each recursion step costs O(width + height), not O(area).
 #pragma once
 
 #include <vector>

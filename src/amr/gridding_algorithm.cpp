@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
+#include <unordered_map>
 
 #include "pdat/cuda/cuda_data.hpp"
 #include "util/error.hpp"
@@ -42,41 +44,55 @@ TagBitmap GriddingAlgorithm::collect_tags(PatchHierarchy& hierarchy,
   PatchLevel& level = hierarchy.level(level_number);
   TagBitmap bitmap(level.domain_box());
 
-  // Local tagging: device kernel per patch, then the paper's compressed
-  // transfer — a per-patch "any tagged" flag, and bits instead of ints.
-  // All of it is regrid-path device work: attribute the launches to the
-  // kRegrid tag so benches can split clustering from the hydro stages.
+  // Local tagging: one level-wide pass per device — a fused flagging
+  // launch, then the paper's compressed transfer (a per-patch "any
+  // tagged" flag, and bits instead of ints). All of it is regrid-path
+  // device work: attribute the launches to the kRegrid tag so benches
+  // can split clustering from the hydro stages.
   pdat::MessageStream local;
-  for (const auto& patch : level.local_patches()) {
-    vgpu::LaunchTagScope regrid_tag(&device_of(*patch),
-                                    vgpu::LaunchTag::kRegrid);
-    DeviceTagData tags(device_of(*patch), patch->box());
-    strategy_->tag_cells(*patch, level, hierarchy.geometry(), tags, time);
-    if (!tags.any_tagged()) {
-      continue;  // nothing to transfer for this patch
+  {
+    std::vector<TagPatch> patches;
+    std::vector<vgpu::Device*> devices;
+    std::deque<vgpu::LaunchTagScope> regrid_tags;  // one per device
+    patches.reserve(level.local_patches().size());
+    for (const auto& patch : level.local_patches()) {
+      vgpu::Device* device = &device_of(*patch);
+      if (std::find(devices.begin(), devices.end(), device) == devices.end()) {
+        devices.push_back(device);
+        regrid_tags.emplace_back(device, vgpu::LaunchTag::kRegrid);
+      }
+      patches.push_back(TagPatch{patch->box(), device});
     }
-    const std::vector<std::uint32_t> words = tags.download_compressed();
-    local.write<int>(patch->global_id());
-    local.write<std::uint64_t>(words.size());
-    local.write_bytes(words.data(), words.size() * sizeof(std::uint32_t));
+    LevelTagData tags(patches);
+    strategy_->tag_cells(level, hierarchy.geometry(), tags, time);
+    const auto words = tags.download_compressed();
+    for (std::size_t p = 0; p < words.size(); ++p) {
+      if (words[p].empty()) {
+        continue;  // nothing to transfer for this patch
+      }
+      local.write<int>(level.local_patches()[p]->global_id());
+      local.write<std::uint64_t>(words[p].size());
+      local.write_bytes(words[p].data(), words[p].size() * sizeof(std::uint32_t));
+    }
   }
 
-  // Merge, exchanging compressed tags across ranks when distributed.
+  // Merge, exchanging compressed tags across ranks when distributed;
+  // every message is looked up in one global-id index of the level.
+  std::unordered_map<int, const Box*> box_of;
+  box_of.reserve(level.global_patches().size());
+  for (const GlobalPatch& gp : level.global_patches()) {
+    box_of.emplace(gp.global_id, &gp.box);
+  }
   const auto merge_stream = [&](pdat::MessageStream& ms) {
     while (!ms.fully_consumed()) {
       const int gid = ms.read<int>();
       const auto nwords = ms.read<std::uint64_t>();
       std::vector<std::uint32_t> words(nwords);
       ms.read_bytes(words.data(), nwords * sizeof(std::uint32_t));
-      const GlobalPatch* gp = nullptr;
-      for (const GlobalPatch& cand : level.global_patches()) {
-        if (cand.global_id == gid) {
-          gp = &cand;
-          break;
-        }
-      }
-      RAMR_REQUIRE(gp != nullptr, "tag stream references unknown patch " << gid);
-      bitmap.merge_compressed(gp->box, words);
+      const auto it = box_of.find(gid);
+      RAMR_REQUIRE(it != box_of.end(),
+                   "tag stream references unknown patch " << gid);
+      bitmap.merge_compressed(*it->second, words);
     }
   };
 
@@ -106,12 +122,7 @@ std::vector<Box> GriddingAlgorithm::build_candidate_boxes(
                              ;  // to tag_level index space
     for (const Box& b : upper.boxes().boxes()) {
       const Box cb = b.coarsen(IntVector(r2.i, r2.j)).grow(params_.nesting_buffer);
-      const Box clipped = cb.intersect(tags.region());
-      for (int j = clipped.lower().j; j <= clipped.upper().j; ++j) {
-        for (int i = clipped.lower().i; i <= clipped.upper().i; ++i) {
-          tags.set(i, j);
-        }
-      }
+      tags.set(cb.intersect(tags.region()));
     }
   }
 
@@ -126,8 +137,8 @@ std::vector<Box> GriddingAlgorithm::build_candidate_boxes(
   // Cluster on the tag level.
   std::vector<Box> clustered =
       berger_rigoutsos(tags, level.domain_box(), params_.cluster);
-  // Host cost: signature computation revisits the tagged bounding boxes
-  // during recursion.
+  // Host cost: clustering (the summed-area table and the signature
+  // recursion over it), charged as 1.5 bitmap sweeps.
   charge_host_work(tags.region().size(), 1.5);
 
   // Proper nesting inside the tag level: stay nesting_buffer cells away

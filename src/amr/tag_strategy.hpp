@@ -22,11 +22,14 @@ class TagStrategy {
                                      const mesh::GridGeometry& geometry,
                                      double time) = 0;
 
-  /// Flags cells of `patch` that need refinement (writes 0/1 into
-  /// `tags`). Runs data-parallel on the device.
-  virtual void tag_cells(hier::Patch& patch, const hier::PatchLevel& level,
+  /// Flags the cells of every local patch of `level` that need
+  /// refinement (writes 0/1 into `tags`, whose patch p is the level's
+  /// local patch p). Runs data-parallel on the devices: one fused launch
+  /// per LevelTagData::DeviceGroup keeps the tag pass's launch count
+  /// independent of the patch count.
+  virtual void tag_cells(const hier::PatchLevel& level,
                          const mesh::GridGeometry& geometry,
-                         DeviceTagData& tags, double time) = 0;
+                         LevelTagData& tags, double time) = 0;
 };
 
 }  // namespace ramr::amr

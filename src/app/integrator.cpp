@@ -70,16 +70,58 @@ void LagrangianEulerianIntegrator::initialize(double time) {
 }
 
 void LagrangianEulerianIntegrator::rebuild_schedules() {
+  build_schedules(/*keep_unchanged=*/false);
+}
+
+namespace {
+
+/// Moves into `slots` every schedule of `old` that `keeps` accepts for
+/// the slot, then frees the rest, so that no replaced plan is alive
+/// while its successors are built. Returns the slots left to build.
+template <typename Sched, typename Keep>
+std::vector<std::size_t> keep_schedules(
+    std::vector<std::unique_ptr<Sched>>& old,
+    std::vector<std::unique_ptr<Sched>>& slots, const Keep& keeps) {
+  std::vector<std::size_t> missing;
+  for (std::size_t n = 0; n < slots.size(); ++n) {
+    const auto it = std::find_if(old.begin(), old.end(),
+                                 [&](const std::unique_ptr<Sched>& s) {
+                                   return s != nullptr && keeps(*s, n);
+                                 });
+    if (it != old.end()) {
+      slots[n] = std::move(*it);
+    } else {
+      missing.push_back(n);
+    }
+  }
+  old.clear();
+  return missing;
+}
+
+}  // namespace
+
+void LagrangianEulerianIntegrator::build_schedules(bool keep_unchanged) {
+  const int levels = hierarchy_->num_levels();
+  const auto level = [&](int l) {
+    return l >= 0 ? hierarchy_->level_ptr(l) : nullptr;
+  };
   const auto build = [&](const xfer::RefineAlgorithm& alg,
                          std::vector<std::unique_ptr<xfer::RefineSchedule>>& out) {
-    out.clear();
-    for (int l = 0; l < hierarchy_->num_levels(); ++l) {
-      auto dst = hierarchy_->level_ptr(l);
-      auto coarse = l > 0 ? hierarchy_->level_ptr(l - 1) : nullptr;
-      out.push_back(alg.create_schedule(dst, dst, coarse,
-                                        hierarchy_->variables(), *ctx_, bc_,
-                                        FillMode::kGhostsOnly));
+    std::vector<std::unique_ptr<xfer::RefineSchedule>> slots(
+        static_cast<std::size_t>(levels));
+    const auto missing = keep_schedules(
+        out, slots, [&](const xfer::RefineSchedule& s, std::size_t n) {
+          const int l = static_cast<int>(n);
+          return keep_unchanged && s.dst_level() == level(l) &&
+                 s.src_level() == level(l) && s.coarse_level() == level(l - 1);
+        });
+    for (const std::size_t n : missing) {
+      const int l = static_cast<int>(n);
+      slots[n] = alg.create_schedule(level(l), level(l), level(l - 1),
+                                     hierarchy_->variables(), *ctx_, bc_,
+                                     FillMode::kGhostsOnly);
     }
+    out = std::move(slots);
   };
   build(alg_state_, sched_state_);
   build(alg_pressure_, sched_pressure_);
@@ -87,11 +129,39 @@ void LagrangianEulerianIntegrator::rebuild_schedules() {
   build(alg_preadvec_, sched_preadvec_);
   build(alg_postcell_, sched_postcell_);
 
-  sched_sync_.clear();
-  for (int l = hierarchy_->num_levels() - 1; l >= 1; --l) {
-    sched_sync_.push_back(alg_sync_.create_schedule(
-        hierarchy_->level_ptr(l - 1), hierarchy_->level_ptr(l),
-        hierarchy_->variables(), *ctx_));
+  // Sync pairs (l-1, l), finest first.
+  std::vector<std::unique_ptr<xfer::CoarsenSchedule>> slots(
+      static_cast<std::size_t>(std::max(levels - 1, 0)));
+  const auto fine_of = [&](std::size_t n) {
+    return levels - 1 - static_cast<int>(n);
+  };
+  const auto missing = keep_schedules(
+      sched_sync_, slots, [&](const xfer::CoarsenSchedule& s, std::size_t n) {
+        return keep_unchanged && s.fine_level() == level(fine_of(n)) &&
+               s.coarse_level() == level(fine_of(n) - 1);
+      });
+  for (const std::size_t n : missing) {
+    slots[n] = alg_sync_.create_schedule(level(fine_of(n) - 1),
+                                         level(fine_of(n)),
+                                         hierarchy_->variables(), *ctx_);
+  }
+  sched_sync_ = std::move(slots);
+}
+
+const std::vector<std::unique_ptr<xfer::RefineSchedule>>&
+LagrangianEulerianIntegrator::refine_schedules(
+    TransferCounters::Window window) const {
+  switch (window) {
+    case TransferCounters::kState:
+      return sched_state_;
+    case TransferCounters::kPressure:
+      return sched_pressure_;
+    case TransferCounters::kViscosity:
+      return sched_viscosity_;
+    case TransferCounters::kPreAdvec:
+      return sched_preadvec_;
+    default:
+      return sched_postcell_;
   }
 }
 
@@ -427,7 +497,7 @@ double LagrangianEulerianIntegrator::advance() {
       gridding_->set_measured_costs(measure_device_costs());
     }
     gridding_->regrid(h, time_);
-    rebuild_schedules();
+    build_schedules(/*keep_unchanged=*/true);
   }
   xfer_counters_.plan_fallbacks = ctx_->plan_fallbacks;
   return dt;

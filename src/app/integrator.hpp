@@ -101,8 +101,18 @@ class LagrangianEulerianIntegrator {
   /// Cumulative aggregated-message traffic since construction.
   const TransferCounters& transfer_counters() const { return xfer_counters_; }
 
-  /// Rebuilds every communication schedule (after any regrid).
+  /// Rebuilds every communication schedule.
   void rebuild_schedules();
+
+  /// The refine schedules of one fill window, one per level, and the
+  /// fine-to-coarse sync schedules, finest pair first (tests compare
+  /// schedule identities across regrids).
+  const std::vector<std::unique_ptr<xfer::RefineSchedule>>& refine_schedules(
+      TransferCounters::Window window) const;
+  const std::vector<std::unique_ptr<xfer::CoarsenSchedule>>& sync_schedules()
+      const {
+    return sched_sync_;
+  }
 
   /// Restores the integration state after a checkpoint reload.
   void restore_state(double time, int step_count) {
@@ -111,6 +121,13 @@ class LagrangianEulerianIntegrator {
   }
 
  private:
+  /// Builds the communication schedules of the current hierarchy. With
+  /// keep_unchanged, a schedule whose level objects are all still in the
+  /// hierarchy is kept and only the others are rebuilt (SAMRAI's
+  /// resetHierarchyConfiguration over the replaced levels): a regrid
+  /// never replaces level 0, so its refine schedules survive it.
+  void build_schedules(bool keep_unchanged);
+
   void fill_all(std::vector<std::unique_ptr<xfer::RefineSchedule>>& scheds,
                 TransferCounters::Window window);
 

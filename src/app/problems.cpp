@@ -113,30 +113,34 @@ void HydroProblem::initialize_level_data(hier::Patch& patch,
   }
 }
 
-void HydroProblem::tag_cells(hier::Patch& patch, const hier::PatchLevel&,
-                             const mesh::GridGeometry&,
-                             amr::DeviceTagData& tags, double /*time*/) {
-  auto& density0 = patch.typed_data<CudaData>(fields_.density0);
-  vgpu::Device& dev = density0.device();
-  vgpu::Stream stream(dev, "tag");
-
-  util::View rho = density0.device_view();
-  util::View e = patch.typed_data<CudaData>(fields_.energy0).device_view();
-  util::ArrayView2D<int> tag = tags.device_view();
-  const Box box = tags.box();
+void HydroProblem::tag_cells(const hier::PatchLevel& level,
+                             const mesh::GridGeometry&, amr::LevelTagData& tags,
+                             double /*time*/) {
   const double threshold = tag_threshold_;
-  dev.launch2d(
-      stream, box.lower().i, box.lower().j, box.width(), box.height(),
-      vgpu::KernelCost{16.0, 10.0 * 8.0 + 4.0}, [=](int i, int j) {
-        const double drho =
-            (std::fabs(rho(i + 1, j) - rho(i - 1, j)) +
-             std::fabs(rho(i, j + 1) - rho(i, j - 1))) /
-            (2.0 * std::fabs(rho(i, j)) + 1.0e-100);
-        const double de = (std::fabs(e(i + 1, j) - e(i - 1, j)) +
-                           std::fabs(e(i, j + 1) - e(i, j - 1))) /
-                          (2.0 * std::fabs(e(i, j)) + 1.0e-100);
-        tag(i, j) = (drho > threshold || de > threshold) ? 1 : 0;
-      });
+  for (amr::LevelTagData::DeviceGroup& g : tags.groups()) {
+    std::vector<util::View> rho;
+    std::vector<util::View> e;
+    for (const std::size_t p : g.patches) {
+      hier::Patch& patch = *level.local_patches()[p];
+      rho.push_back(patch.typed_data<CudaData>(fields_.density0).device_view());
+      e.push_back(patch.typed_data<CudaData>(fields_.energy0).device_view());
+    }
+    vgpu::Stream stream(*g.device, "tag");
+    g.device->launch_batched(
+        stream, g.cells, vgpu::KernelCost{16.0, 10.0 * 8.0 + 4.0},
+        [&](std::size_t s, int i, int j) {
+          const util::View& r = rho[s];
+          const util::View& en = e[s];
+          const double drho =
+              (std::fabs(r(i + 1, j) - r(i - 1, j)) +
+               std::fabs(r(i, j + 1) - r(i, j - 1))) /
+              (2.0 * std::fabs(r(i, j)) + 1.0e-100);
+          const double de = (std::fabs(en(i + 1, j) - en(i - 1, j)) +
+                             std::fabs(en(i, j + 1) - en(i, j - 1))) /
+                            (2.0 * std::fabs(en(i, j)) + 1.0e-100);
+          g.views[s](i, j) = (drho > threshold || de > threshold) ? 1 : 0;
+        });
+  }
 }
 
 InitialState SodProblem::initial_state() const {

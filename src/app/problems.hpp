@@ -40,8 +40,8 @@ class HydroProblem : public amr::TagStrategy {
                              const mesh::GridGeometry& geometry,
                              double time) override;
 
-  void tag_cells(hier::Patch& patch, const hier::PatchLevel& level,
-                 const mesh::GridGeometry& geometry, amr::DeviceTagData& tags,
+  void tag_cells(const hier::PatchLevel& level,
+                 const mesh::GridGeometry& geometry, amr::LevelTagData& tags,
                  double time) override;
 
   /// Physical domain this problem is defined on.

@@ -61,6 +61,14 @@ class CoarsenSchedule : private TransferDelegate {
   /// Engine exchange of one sync, for plan-level observability in tests.
   const TransferSchedule& transfer_engine() const { return engine_; }
 
+  /// The level objects the plan was built from.
+  const std::shared_ptr<hier::PatchLevel>& coarse_level() const {
+    return coarse_level_;
+  }
+  const std::shared_ptr<hier::PatchLevel>& fine_level() const {
+    return fine_level_;
+  }
+
  private:
   friend class CoarsenAlgorithm;
   CoarsenSchedule() = default;

@@ -128,6 +128,18 @@ class RefineSchedule : private TransferDelegate {
     return coarse_late_engine_;
   }
 
+  /// The level objects the plan was built from (null when absent): the
+  /// plan stays valid exactly as long as these do.
+  const std::shared_ptr<hier::PatchLevel>& dst_level() const {
+    return dst_level_;
+  }
+  const std::shared_ptr<hier::PatchLevel>& src_level() const {
+    return src_level_;
+  }
+  const std::shared_ptr<hier::PatchLevel>& coarse_level() const {
+    return coarse_level_;
+  }
+
  private:
   friend class RefineAlgorithm;
   RefineSchedule() = default;

@@ -139,6 +139,10 @@ class TransferSchedule {
     tag_ = ctx.allocate_tag();
   }
 
+  /// The exchange's message tag: unique among the schedules of a rank
+  /// (the context's counter only grows), so it also names the schedule.
+  int tag() const { return tag_; }
+
   /// Appends a transaction; plan order is the add order.
   void add(const Transaction& t) { transactions_.push_back(t); }
 

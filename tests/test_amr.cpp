@@ -22,45 +22,117 @@ class TagDataTest : public ::testing::Test {
 };
 
 TEST_F(TagDataTest, StartsClearAndDetectsTags) {
-  DeviceTagData tags(dev_, Box(0, 0, 31, 31));
-  EXPECT_FALSE(tags.any_tagged());
-  auto view = tags.device_view();
+  LevelTagData tags({{Box(0, 0, 31, 31), &dev_}, {Box(32, 0, 63, 31), &dev_}});
+  auto words = tags.download_compressed();
+  ASSERT_EQ(words.size(), 2u);
+  EXPECT_TRUE(words[0].empty());
+  EXPECT_TRUE(words[1].empty());
+  auto view = tags.groups()[0].views[1];
   vgpu::Stream s(dev_, "test");
   dev_.launch(s, 1, vgpu::KernelCost{0, 4},
-              [=](std::int64_t) { view(17, 5) = 1; });
-  EXPECT_TRUE(tags.any_tagged());
-  tags.clear();
-  EXPECT_FALSE(tags.any_tagged());
+              [=](std::int64_t) { view(47, 5) = 1; });
+  words = tags.download_compressed();
+  EXPECT_TRUE(words[0].empty());
+  ASSERT_EQ(words[1].size(), 32u * 32u / 32u);
+  EXPECT_EQ(words[1][(5 * 32 + 15) / 32], 1u << ((5 * 32 + 15) % 32));
 }
 
 TEST_F(TagDataTest, CompressedMatchesRaw) {
-  DeviceTagData tags(dev_, Box(2, 3, 40, 35));
-  auto view = tags.device_view();
+  // Odd patch sizes, so words straddle rows and the last word is partial.
+  LevelTagData tags({{Box(2, 3, 40, 35), &dev_},
+                     {Box(41, 3, 47, 9), &dev_},
+                     {Box(-5, -9, 1, 2), &dev_}});
   vgpu::Stream s(dev_, "test");
-  const Box box = tags.box();
-  dev_.launch2d(s, box.lower().i, box.lower().j, box.width(), box.height(),
-                vgpu::KernelCost{1, 4}, [=](int i, int j) {
-                  view(i, j) = ((i * 7 + j * 3) % 5 == 0) ? 1 : 0;
-                });
+  for (std::size_t p = 0; p < tags.patch_count(); ++p) {
+    auto view = tags.groups()[0].views[p];
+    const Box box = tags.box(p);
+    dev_.launch2d(s, box.lower().i, box.lower().j, box.width(), box.height(),
+                  vgpu::KernelCost{1, 4}, [=](int i, int j) {
+                    view(i, j) = ((i * 7 + j * 3) % 5 == 0) ? 1 : 0;
+                  });
+  }
   const auto raw = tags.download_raw();
   const auto packed = tags.download_compressed();
-  for (std::size_t t = 0; t < raw.size(); ++t) {
-    const bool bit = (packed[t >> 5] >> (t & 31)) & 1u;
-    ASSERT_EQ(bit, raw[t] != 0) << "cell " << t;
+  for (std::size_t p = 0; p < tags.patch_count(); ++p) {
+    ASSERT_EQ(static_cast<std::int64_t>(raw[p].size()), tags.box(p).size());
+    ASSERT_EQ(static_cast<std::int64_t>(packed[p].size()),
+              (tags.box(p).size() + 31) / 32);
+    for (std::size_t t = 0; t < raw[p].size(); ++t) {
+      const bool bit = (packed[p][t >> 5] >> (t & 31)) & 1u;
+      ASSERT_EQ(bit, raw[p][t] != 0) << "patch " << p << " cell " << t;
+    }
   }
 }
 
 TEST_F(TagDataTest, CompressionIs32xSmaller) {
-  DeviceTagData tags(dev_, Box(0, 0, 255, 255));
+  LevelTagData tags({{Box(0, 0, 255, 255), &dev_}});
+  auto view = tags.groups()[0].views[0];
+  vgpu::Stream s(dev_, "test");
+  dev_.launch(s, 1, vgpu::KernelCost{0, 4},
+              [=](std::int64_t) { view(0, 0) = 1; });
   auto before = dev_.transfers();
   (void)tags.download_compressed();
-  const auto compressed_bytes = (dev_.transfers() - before).d2h_bytes;
+  // The words plus the patch's 4-byte flag.
+  const auto compressed_bytes = (dev_.transfers() - before).d2h_bytes - 4u;
   before = dev_.transfers();
   (void)tags.download_raw();
   const auto raw_bytes = (dev_.transfers() - before).d2h_bytes;
   EXPECT_EQ(raw_bytes, 256u * 256u * 4u);
   EXPECT_EQ(compressed_bytes, 256u * 256u / 8u);
   EXPECT_EQ(raw_bytes / compressed_bytes, 32u);
+}
+
+TEST_F(TagDataTest, TagPassLaunchesAndCopiesDoNotGrowWithPatches) {
+  for (const int patches : {1, 7, 48}) {
+    SCOPED_TRACE(patches);
+    std::vector<TagPatch> list;
+    for (int p = 0; p < patches; ++p) {
+      list.push_back({Box(20 * p, 0, 20 * p + 12 + p % 5, 17), &dev_});
+    }
+    const std::uint64_t launches = dev_.launch_count();
+    const auto before = dev_.transfers();
+    LevelTagData tags(list);
+    LevelTagData::DeviceGroup& g = tags.groups()[0];
+    vgpu::Stream s(dev_, "test");
+    dev_.launch_batched(s, g.cells, vgpu::KernelCost{1, 4},
+                        [&](std::size_t seg, int i, int j) {
+                          g.views[seg](i, j) =
+                              (seg % 2 == 0 && i - g.views[seg].ilo() == j) ? 1 : 0;
+                        });
+    const auto words = tags.download_compressed();
+    // Clear, flag, any-tagged reduction, compression; flags + words.
+    EXPECT_EQ(dev_.launch_count() - launches, 4u);
+    const auto moved = dev_.transfers() - before;
+    EXPECT_EQ(moved.d2h_count, 2u);
+    std::uint64_t word_bytes = 0;
+    for (int p = 0; p < patches; ++p) {
+      EXPECT_EQ(words[static_cast<std::size_t>(p)].empty(), p % 2 != 0);
+      word_bytes += words[static_cast<std::size_t>(p)].size() * 4u;
+    }
+    EXPECT_EQ(moved.d2h_bytes, 4u * patches + word_bytes);
+  }
+}
+
+TEST(TagData, TwoDevicesRunTheirOwnPass) {
+  vgpu::Device a{vgpu::tesla_k20x()};
+  vgpu::Device b{vgpu::tesla_k20x()};
+  LevelTagData tags({{Box(0, 0, 15, 15), &a},
+                     {Box(16, 0, 31, 15), &b},
+                     {Box(32, 0, 47, 15), &a}});
+  ASSERT_EQ(tags.groups().size(), 2u);
+  EXPECT_EQ(tags.groups()[0].patches, (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(tags.groups()[1].patches, (std::vector<std::size_t>{1}));
+  auto view = tags.groups()[1].views[0];
+  vgpu::Stream s(b, "test");
+  b.launch(s, 1, vgpu::KernelCost{0, 4}, [=](std::int64_t) { view(20, 3) = 1; });
+  const std::uint64_t la = a.launch_count();
+  const std::uint64_t lb = b.launch_count();
+  const auto words = tags.download_compressed();
+  EXPECT_TRUE(words[0].empty());
+  EXPECT_FALSE(words[1].empty());
+  EXPECT_TRUE(words[2].empty());
+  EXPECT_EQ(a.launch_count() - la, 1u);  // reduction only: nothing tagged
+  EXPECT_EQ(b.launch_count() - lb, 2u);  // reduction + compression
 }
 
 TEST(TagBitmap, SetAndQuery) {
