@@ -51,9 +51,8 @@ Result run_backend(int n, const ramr::vgpu::DeviceSpec& spec,
   cfg.device = spec;
   cfg.batched_launch = batched;
   // Large problems exceed one modeled K20x (the paper's 6.4M-zone case
-  // fills most of the 6 GB card); keep the model but uncap failure by
-  // allowing spill, which the paper lists as future work. We instead
-  // raise the modeled capacity for this sweep only.
+  // fills most of the 6 GB card); raise the modeled capacity for this
+  // sweep only, so the largest points run instead of failing allocation.
   cfg.device.mem_bytes = 64ull << 30;
 
   ramr::app::Simulation sim(cfg, nullptr);

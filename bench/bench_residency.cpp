@@ -130,10 +130,9 @@ int main() {
   std::printf("OK: transfer launch accounting matches (fused plans: at most "
               "one launch per message / exchange)\n");
 
-  // Compiled-plan demotions: a single-device run's endpoints are always
-  // device-viewable, so every exchange must take the compiled path. A
-  // nonzero count is the silent legacy fallback this counter exists to
-  // catch.
+  // Compiled-plan fallbacks: the compiled plans are the only transfer
+  // path, so this counter is always zero; the check stays while the run
+  // metrics still carry it.
   if (tc.plan_fallbacks != 0) {
     std::printf("FAIL: %llu compiled-plan fallbacks on a single-device run\n",
                 static_cast<unsigned long long>(tc.plan_fallbacks));

@@ -499,7 +499,6 @@ double LagrangianEulerianIntegrator::advance() {
     gridding_->regrid(h, time_);
     build_schedules(/*keep_unchanged=*/true);
   }
-  xfer_counters_.plan_fallbacks = ctx_->plan_fallbacks;
   return dt;
 }
 

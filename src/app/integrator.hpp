@@ -33,10 +33,9 @@ struct TransferCounters {
   /// Fills executed split-phase (begin / overlapped compute / finish) on
   /// the async-overlap path; 0 on the synchronous path.
   std::uint64_t split_fills = 0;
-  /// Schedule executions that requested a compiled plan but demoted to
-  /// the per-transaction legacy path (an endpoint was not device-viewable
-  /// or not plannable). A silent performance cliff when nonzero: every
-  /// such fill pays per-transaction launches and staging.
+  /// Always 0: the compiled plans are the only transfer path, so no
+  /// execute can fall back. Kept because the `transfer.plan_fallbacks`
+  /// run metric and the benches that assert it zero still read it.
   std::uint64_t plan_fallbacks = 0;
 
   /// The per-step fill windows of the integrator, named after the

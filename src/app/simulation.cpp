@@ -45,13 +45,9 @@ Simulation::Simulation(const SimulationConfig& config,
         static_cast<std::uint64_t>(comm != nullptr ? comm->rank() : 0));
     fault_plan_ = own_fault_plan_.get();
   }
-  RAMR_REQUIRE(config_.topology.device_count <= 1 ||
-                   (config_.batched_launch && config_.compiled_transfer),
-               "a multi-device topology requires batched_launch and "
-               "compiled_transfer (per-device stage groups and compiled "
-               "cross-device plans)");
-  RAMR_REQUIRE(!config_.topology.gpu_direct || config_.compiled_transfer,
-               "gpu_direct requires compiled_transfer (packed wire buffers)");
+  RAMR_REQUIRE(config_.topology.device_count <= 1 || config_.batched_launch,
+               "a multi-device topology requires batched_launch (per-device "
+               "stage groups)");
   if (shared_device != nullptr) {
     // Service mode: ride the server's device and clock so K jobs share
     // one modeled accelerator (memory arena included) and one account of
@@ -85,10 +81,7 @@ Simulation::Simulation(const SimulationConfig& config,
   ctx_.comm = comm;
   ctx_.my_rank = comm != nullptr ? comm->rank() : 0;
   ctx_.clock = clock_;
-  // The transfer engine fuses each aggregated message's staging copies
-  // into one modeled PCIe crossing on this device.
   ctx_.device = device_;
-  ctx_.compiled_transfer = config.compiled_transfer;
   // The single-device bind path is untouched when ctx_.topology stays
   // null: schedules only consider cross-device plans on a real complex.
   if (topology_ != nullptr && topology_->device_count() > 1) {

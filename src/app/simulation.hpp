@@ -50,9 +50,9 @@ struct SimulationConfig {
   /// changes nothing; > 1 spreads the level's patches over the rank's
   /// devices, runs every stage as one fused launch per device and
   /// compiles cross-device halo copies onto the peer-link lanes
-  /// (docs/device_topology.md). Multi-device requires batched_launch and
-  /// compiled_transfer; speedup manifests under async_overlap (the
-  /// synchronous model sums charges across lanes).
+  /// (docs/device_topology.md). Multi-device requires batched_launch;
+  /// speedup manifests under async_overlap (the synchronous model sums
+  /// charges across lanes).
   vgpu::TopologySpec topology;
   /// Patch-to-rank partitioning (kMorton default, kGreedy ablation,
   /// kMeasured = Morton ranks + measured per-device costs steering the
@@ -62,11 +62,6 @@ struct SimulationConfig {
   /// per level (default). Off = the per-patch launch structure of the
   /// paper's original code; both produce bit-identical fields.
   bool batched_launch = true;
-  /// Compiled transfer plans: one fused pack/unpack launch per peer
-  /// message and one local-copy launch per exchange (default). Off = the
-  /// per-transaction legacy transfer path; both produce bit-identical
-  /// fields (docs/transfer_api.md).
-  bool compiled_transfer = true;
   /// Async timeline model: attach a vgpu::Timeline to the rank clock and
   /// run the start-of-step state exchange split-phase around the EOS
   /// stage, with send/recv wire legs on the network lane — communication

@@ -662,8 +662,6 @@ RunConfig parse_run_config(const Json& root) {
     Reader e(*v, "execution");
     config.sim.batched_launch =
         e.get_bool("batched_launch", config.sim.batched_launch);
-    config.sim.compiled_transfer =
-        e.get_bool("compiled_transfer", config.sim.compiled_transfer);
     config.sim.async_overlap =
         e.get_bool("async_overlap", config.sim.async_overlap);
     config.sim.wide_overlap =
@@ -772,7 +770,6 @@ Json to_json(const RunConfig& config) {
 
   Json execution = Json::make_object();
   execution.set("batched_launch", Json(config.sim.batched_launch));
-  execution.set("compiled_transfer", Json(config.sim.compiled_transfer));
   execution.set("async_overlap", Json(config.sim.async_overlap));
   execution.set("wide_overlap", Json(config.sim.wide_overlap));
   j.set("execution", std::move(execution));

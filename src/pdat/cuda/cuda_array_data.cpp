@@ -5,15 +5,6 @@
 namespace ramr::pdat::cuda {
 
 using mesh::Box;
-using mesh::BoxList;
-using mesh::IntVector;
-
-namespace {
-
-/// Copy / pack / unpack move 8 bytes in and 8 bytes out per thread.
-constexpr vgpu::KernelCost kCopyCost{0.0, 16.0};
-
-}  // namespace
 
 CudaArrayData::CudaArrayData(vgpu::Device& device, const Box& index_box,
                              int depth)
@@ -27,7 +18,6 @@ CudaArrayData::CudaArrayData(vgpu::Device& device, const Box& index_box,
 }
 
 util::View CudaArrayData::device_view(int d) const {
-  RAMR_REQUIRE(!spilled_, "data spilled to host: call make_resident() first");
   RAMR_DEBUG_ASSERT(d >= 0 && d < depth_);
   double* plane = buffer_.device_ptr() +
                   static_cast<std::int64_t>(d) * elements_per_depth();
@@ -57,154 +47,7 @@ void CudaArrayData::fill(double value, const Box& region) {
   }
 }
 
-void CudaArrayData::copy_from(const CudaArrayData& src, const Box& region,
-                              const IntVector& shift) {
-  RAMR_REQUIRE(src.depth_ == depth_, "depth mismatch in CudaArrayData copy");
-  RAMR_REQUIRE(src.device_ == device_,
-               "device-to-device copy across devices requires pack/unpack");
-  const Box dst_valid = box_.intersect(region);
-  const Box valid = src.box_.shift(shift).intersect(dst_valid);
-  if (valid.empty()) {
-    return;
-  }
-  for (int d = 0; d < depth_; ++d) {
-    util::View dst = device_view(d);
-    util::View s = src.device_view(d);
-    const int si = shift.i;
-    const int sj = shift.j;
-    device_->launch2d(stream_, valid.lower().i, valid.lower().j, valid.width(),
-                      valid.height(), kCopyCost,
-                      [=](int i, int j) { dst(i, j) = s(i - si, j - sj); });
-  }
-}
-
-void CudaArrayData::copy_from_multi(const CudaArrayData& src,
-                                    const std::vector<Box>& regions,
-                                    const IntVector& shift) {
-  RAMR_REQUIRE(src.depth_ == depth_, "depth mismatch in CudaArrayData copy");
-  RAMR_REQUIRE(src.device_ == device_,
-               "device-to-device copy across devices requires pack/unpack");
-  // Clip each region and build a flat-index partition.
-  auto clipped = std::make_shared<std::vector<Box>>();
-  auto offsets = std::make_shared<std::vector<std::int64_t>>();
-  std::int64_t total = 0;
-  for (const Box& region : regions) {
-    const Box valid = src.box_.shift(shift).intersect(box_.intersect(region));
-    if (valid.empty()) {
-      continue;
-    }
-    clipped->push_back(valid);
-    offsets->push_back(total);
-    total += valid.size();
-  }
-  if (total == 0) {
-    return;
-  }
-  const int si = shift.i;
-  const int sj = shift.j;
-  for (int d = 0; d < depth_; ++d) {
-    util::View dst = device_view(d);
-    util::View s = src.device_view(d);
-    device_->launch(stream_, total, kCopyCost, [=](std::int64_t t) {
-      // Find the box containing flat index t (few boxes: linear scan).
-      std::size_t b = clipped->size() - 1;
-      while ((*offsets)[b] > t) {
-        --b;
-      }
-      const Box& box = (*clipped)[b];
-      const std::int64_t local = t - (*offsets)[b];
-      const int i = box.lower().i + static_cast<int>(local % box.width());
-      const int j = box.lower().j + static_cast<int>(local / box.width());
-      dst(i, j) = s(i - si, j - sj);
-    });
-  }
-}
-
-void CudaArrayData::pack(MessageStream& stream, const BoxList& regions) const {
-  const std::int64_t count = regions.size() * depth_;
-  if (count == 0) {
-    return;
-  }
-  // Stage 1: data-parallel gather into a contiguous device buffer, one
-  // thread per packed element (paper Fig. 4).
-  vgpu::DeviceBuffer<double> staging(*device_, count);
-  std::int64_t offset = 0;
-  for (int d = 0; d < depth_; ++d) {
-    util::View v = device_view(d);
-    for (const Box& b : regions.boxes()) {
-      RAMR_REQUIRE(box_.contains(b),
-                   "pack region " << b << " outside device array " << box_);
-      double* out = staging.device_ptr() + offset;
-      const int ilo = b.lower().i;
-      const int jlo = b.lower().j;
-      const int w = b.width();
-      device_->launch(stream_, b.size(), kCopyCost, [=](std::int64_t t) {
-        const int i = ilo + static_cast<int>(t % w);
-        const int j = jlo + static_cast<int>(t / w);
-        out[t] = v(i, j);
-      });
-      offset += b.size();
-    }
-  }
-  // Stage 2: one PCIe copy of the contiguous buffer into the stream.
-  std::byte* dst = stream.grow(static_cast<std::size_t>(count) * sizeof(double));
-  device_->memcpy_d2h(dst, staging.device_ptr(),
-                      static_cast<std::uint64_t>(count) * sizeof(double));
-}
-
-void CudaArrayData::unpack(MessageStream& stream, const BoxList& regions) {
-  const std::int64_t count = regions.size() * depth_;
-  if (count == 0) {
-    return;
-  }
-  // Stage 1: one PCIe upload of the contiguous payload.
-  vgpu::DeviceBuffer<double> staging(*device_, count);
-  const std::byte* src =
-      stream.view_and_skip(static_cast<std::size_t>(count) * sizeof(double));
-  device_->memcpy_h2d(staging.device_ptr(), src,
-                      static_cast<std::uint64_t>(count) * sizeof(double));
-  // Stage 2: data-parallel scatter into the array.
-  std::int64_t offset = 0;
-  for (int d = 0; d < depth_; ++d) {
-    util::View v = device_view(d);
-    for (const Box& b : regions.boxes()) {
-      RAMR_REQUIRE(box_.contains(b),
-                   "unpack region " << b << " outside device array " << box_);
-      const double* in = staging.device_ptr() + offset;
-      const int ilo = b.lower().i;
-      const int jlo = b.lower().j;
-      const int w = b.width();
-      device_->launch(stream_, b.size(), kCopyCost, [=](std::int64_t t) {
-        const int i = ilo + static_cast<int>(t % w);
-        const int j = jlo + static_cast<int>(t / w);
-        v(i, j) = in[t];
-      });
-      offset += b.size();
-    }
-  }
-}
-
-void CudaArrayData::spill_to_host() {
-  RAMR_REQUIRE(!spilled_, "array already spilled");
-  host_backing_.resize(static_cast<std::size_t>(total_elements()));
-  buffer_.download(host_backing_.data(), total_elements());
-  buffer_ = vgpu::DeviceBuffer<double>();  // releases the device arena
-  spilled_ = true;
-}
-
-void CudaArrayData::make_resident() {
-  if (!spilled_) {
-    return;
-  }
-  buffer_ = vgpu::DeviceBuffer<double>(*device_, total_elements());
-  buffer_.upload(host_backing_.data(), total_elements());
-  host_backing_.clear();
-  host_backing_.shrink_to_fit();
-  spilled_ = false;
-}
-
 std::vector<double> CudaArrayData::download_plane(int d) const {
-  RAMR_REQUIRE(!spilled_, "data spilled to host: call make_resident() first");
   std::vector<double> host(static_cast<std::size_t>(elements_per_depth()));
   buffer_.download(host.data(), elements_per_depth(),
                    static_cast<std::int64_t>(d) * elements_per_depth());

@@ -2,17 +2,16 @@
 // store of the paper's CudaPatchData library (Fig. 3).
 //
 // CudaArrayData allocates one contiguous array in (virtual) device memory
-// for a given box, and provides the data-parallel routines the paper
-// describes: copy between device arrays, pack a region of the array into
-// a contiguous device buffer, and unpack a buffer into a region — each
-// executed with one device thread per element (Fig. 4). The packed
-// buffer is then copied across the (modeled) PCIe bus into the host
-// MessageStream, which SAMRAI hands to MPI.
+// for a given box and exports its depth planes as views. The paper's
+// data-parallel copy, pack and unpack routines (Fig. 4) are the compiled
+// transfer plans' fused launches over those views
+// (xfer::TransferSchedule), one device thread per element and one PCIe
+// crossing per packed message.
 #pragma once
 
+#include <vector>
+
 #include "mesh/box.hpp"
-#include "mesh/box_list.hpp"
-#include "pdat/message_stream.hpp"
 #include "util/array_view.hpp"
 #include "vgpu/device_buffer.hpp"
 
@@ -33,37 +32,13 @@ class CudaArrayData {
   util::View device_view(int d = 0) const;
 
   /// Checked view export for the compiled transfer plans: REQUIREs
-  /// `region` to lie inside the array box and returns the plane view
-  /// (fused pack/unpack/copy kernels index it directly, replacing the
-  /// per-box pack/unpack launches below).
+  /// `region` to lie inside the array box and returns the plane view.
   util::View region_view(const mesh::Box& region, int d = 0) const;
 
   /// Fills `region` (clipped to the array box) with a constant, one
   /// thread per element.
   void fill(double value);
   void fill(double value, const mesh::Box& region);
-
-  /// dst(p) = src(p - shift) over `region` in dst index space; a
-  /// device-to-device data-parallel copy (both arrays must live on the
-  /// same device, as patches within one rank do).
-  void copy_from(const CudaArrayData& src, const mesh::Box& region,
-                 const mesh::IntVector& shift = mesh::IntVector::zero());
-
-  /// Batched form: copies every region in one kernel launch (overlaps in
-  /// halo exchange often have several small boxes; one launch per box
-  /// would be launch-overhead-bound on the device).
-  void copy_from_multi(const CudaArrayData& src,
-                       const std::vector<mesh::Box>& regions,
-                       const mesh::IntVector& shift = mesh::IntVector::zero());
-
-  /// Data-parallel pack: gathers the listed regions into a contiguous
-  /// device buffer (one thread per element), then copies that buffer over
-  /// PCIe into the stream (paper Fig. 4).
-  void pack(MessageStream& stream, const mesh::BoxList& regions) const;
-
-  /// Reverse of pack: PCIe upload into a contiguous device buffer, then a
-  /// data-parallel scatter kernel.
-  void unpack(MessageStream& stream, const mesh::BoxList& regions);
 
   /// Downloads one depth plane to host memory (examples/diagnostics only;
   /// charges PCIe like any other crossing).
@@ -72,28 +47,12 @@ class CudaArrayData {
   /// Uploads a full host plane (initialisation).
   void upload_plane(const std::vector<double>& host, int d = 0);
 
-  // -- Spilling (paper §VI future work: patches "spilled" into CPU
-  //    memory and transferred back to the device when necessary) -------
-
-  /// True while the array occupies device memory.
-  bool resident() const { return !spilled_; }
-
-  /// Downloads the array to a host backing store and frees the device
-  /// allocation (one PCIe crossing; the modeled capacity is released).
-  void spill_to_host();
-
-  /// Re-allocates device memory and uploads the backing store (throws
-  /// like any allocation when the device is full).
-  void make_resident();
-
  private:
   vgpu::Device* device_;
   mesh::Box box_;
   int depth_;
   vgpu::DeviceBuffer<double> buffer_;
   mutable vgpu::Stream stream_;
-  bool spilled_ = false;
-  std::vector<double> host_backing_;
 };
 
 }  // namespace ramr::pdat::cuda

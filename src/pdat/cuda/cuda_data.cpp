@@ -25,56 +25,6 @@ void CudaData::fill(double value) {
   }
 }
 
-void CudaData::copy(const PatchData& src) {
-  const auto& s = dynamic_cast<const CudaData&>(src);
-  RAMR_REQUIRE(s.centering() == centering() && s.depth() == depth(),
-               "incompatible CudaData copy");
-  for (int k = 0; k < components(); ++k) {
-    const Box region =
-        component(k).index_box().intersect(s.component(k).index_box());
-    component(k).copy_from(s.component(k), region);
-  }
-}
-
-void CudaData::copy(const PatchData& src, const BoxOverlap& overlap) {
-  const auto& s = dynamic_cast<const CudaData&>(src);
-  RAMR_REQUIRE(overlap.components() == components(),
-               "overlap component count mismatch");
-  for (int k = 0; k < components(); ++k) {
-    // One launch for all overlap boxes of the component: halo overlaps
-    // are many small strips, and per-box launches would be bound by the
-    // device's launch overhead.
-    component(k).copy_from_multi(s.component(k),
-                                 overlap.component(k).boxes(),
-                                 overlap.src_shift());
-  }
-}
-
-std::size_t CudaData::data_stream_size(const BoxOverlap& overlap) const {
-  return static_cast<std::size_t>(overlap.element_count()) *
-         static_cast<std::size_t>(depth()) * sizeof(double);
-}
-
-void CudaData::pack_stream(MessageStream& stream, const BoxOverlap& overlap) const {
-  RAMR_REQUIRE(overlap.components() == components(),
-               "overlap component count mismatch");
-  for (int k = 0; k < components(); ++k) {
-    mesh::BoxList src_regions;
-    for (const Box& b : overlap.component(k).boxes()) {
-      src_regions.push_back(b.shift(-overlap.src_shift()));
-    }
-    component(k).pack(stream, src_regions);
-  }
-}
-
-void CudaData::unpack_stream(MessageStream& stream, const BoxOverlap& overlap) {
-  RAMR_REQUIRE(overlap.components() == components(),
-               "overlap component count mismatch");
-  for (int k = 0; k < components(); ++k) {
-    component(k).unpack(stream, overlap.component(k));
-  }
-}
-
 void CudaData::put_to_restart(Database& db, const std::string& prefix) const {
   db.put_value<double>(prefix + ".time", time());
   for (int k = 0; k < components(); ++k) {

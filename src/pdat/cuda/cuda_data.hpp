@@ -37,30 +37,8 @@ class CudaData : public PatchData {
 
   void fill(double value);
 
-  /// Spill / restore all component arrays (paper §VI future work).
-  void spill_to_host() {
-    for (auto& a : arrays_) a.spill_to_host();
-  }
-  void make_resident() {
-    for (auto& a : arrays_) a.make_resident();
-  }
-  bool resident() const {
-    for (const auto& a : arrays_) {
-      if (!a.resident()) return false;
-    }
-    return true;
-  }
-
-  void copy(const PatchData& src) override;
-  void copy(const PatchData& src, const BoxOverlap& overlap) override;
-  std::size_t data_stream_size(const BoxOverlap& overlap) const override;
-  void pack_stream(MessageStream& stream, const BoxOverlap& overlap) const override;
-  void unpack_stream(MessageStream& stream, const BoxOverlap& overlap) override;
-
-  /// Compiled-transfer view export: device-resident data participates in
-  /// the fused per-message plan kernels; spilled data falls back to the
-  /// per-transaction legacy path (which REQUIREs residency anyway).
-  bool supports_transfer_views() const override { return resident(); }
+  /// Transfer view export: the compiled transfer plans index the
+  /// component planes directly.
   vgpu::Device* transfer_device() const override { return device_; }
   util::View transfer_view(int k, int d, const mesh::Box& region) const override {
     return component(k).region_view(region, d);

@@ -1,6 +1,7 @@
 // Byte stream used to marshal patch data for MPI transfer, mirroring
 // SAMRAI's MessageStream in the paper's PatchData interface (Fig. 2):
-// packStream / unpackStream operate on this type.
+// the transfer plans pack each aggregated peer message into one, and
+// the regrid's tag exchange frames its payloads with it.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +36,7 @@ class MessageStream {
 
   /// Preallocates room for `bytes` more bytes. Pack paths that hold
   /// pointers returned by grow() across further growth MUST reserve the
-  /// exact total first (from PatchData::data_stream_size): a reallocation
+  /// exact total first (the planned message size): a reallocation
   /// would invalidate every previously returned pointer. After reserve(),
   /// growing past the reservation is a debug-checked contract violation.
   void reserve(std::size_t bytes) {

@@ -1,21 +1,20 @@
 // The PatchData strategy interface (paper Fig. 2).
 //
-// Every simulation quantity on a patch is a PatchData object. The
-// interface defines exactly the operations SAMRAI's data management and
-// communication need: copy between objects, estimate stream sizes, and
-// pack/unpack overlap regions to a MessageStream. Implementing this
+// Every simulation quantity on a patch is a PatchData object. SAMRAI's
+// interface moves data through per-object copy and pack/unpack calls;
+// here every PatchData instead exports its component planes as device
+// views, and the compiled transfer plans (xfer::TransferSchedule) build
+// one fused copy, pack or unpack launch over many objects from them (the
+// mapping is spelled out in docs/transfer_api.md). Implementing this
 // interface is what lets GPU-resident data (pdat::cuda) plug into the
 // unmodified mesh-management machinery — the paper's key design point.
 #pragma once
 
 #include <memory>
-
 #include <string>
 
 #include "mesh/box.hpp"
-#include "pdat/box_overlap.hpp"
 #include "pdat/database.hpp"
-#include "pdat/message_stream.hpp"
 #include "util/array_view.hpp"
 
 namespace ramr::vgpu {
@@ -54,48 +53,12 @@ class PatchData {
   double time() const { return time_; }
   void set_time(double t) { time_ = t; }
 
-  /// Copies from `src` on the intersection of the two ghost index boxes
-  /// (component-wise for side data).
-  virtual void copy(const PatchData& src) = 0;
-
-  /// Copies the overlap regions from `src` (which must be of the same
-  /// concrete kind and centring).
-  virtual void copy(const PatchData& src, const BoxOverlap& overlap) = 0;
-
-  /// True when the stream size depends only on the overlap boxes (always
-  /// true for the fixed-depth double arrays used here).
-  virtual bool can_estimate_stream_size_from_box() const { return true; }
-
-  /// Bytes pack_stream will append for this overlap.
-  virtual std::size_t data_stream_size(const BoxOverlap& overlap) const = 0;
-
-  /// Per-box marshalling of one overlap. Retained as the
-  /// legacy_transfer_path: the compiled transfer plans (see
-  /// xfer::TransferSchedule) move data through exported views instead,
-  /// and fall back to these when a kind cannot export views.
-  virtual void pack_stream(MessageStream& stream, const BoxOverlap& overlap) const = 0;
-  virtual void unpack_stream(MessageStream& stream, const BoxOverlap& overlap) = 0;
-
-  // -- Compiled-transfer support (optional capability) -------------------
-
-  /// True when component planes can be exported as device views for the
-  /// fused transfer-plan kernels. Data that cannot (host-resident arrays,
-  /// device arrays spilled to the host) is moved per transaction through
-  /// pack_stream/unpack_stream/copy instead.
-  virtual bool supports_transfer_views() const { return false; }
-
-  /// Device owning the exported views (null when unsupported).
-  virtual vgpu::Device* transfer_device() const { return nullptr; }
+  /// Device owning the exported views.
+  virtual vgpu::Device* transfer_device() const = 0;
 
   /// View of component `k`, depth plane `d`, valid at least over `region`
-  /// (a box in the component's index space). Only callable when
-  /// supports_transfer_views() holds.
-  virtual util::View transfer_view(int k, int d, const mesh::Box& region) const {
-    (void)k;
-    (void)d;
-    (void)region;
-    RAMR_FAIL("transfer views unsupported for this PatchData kind");
-  }
+  /// (a box in the component's index space).
+  virtual util::View transfer_view(int k, int d, const mesh::Box& region) const = 0;
 
   /// Checkpoint support (Fig. 2: putToRestart / getFromRestart): writes
   /// or reads all component arrays under `prefix` in the database.
@@ -112,8 +75,7 @@ class PatchData {
 };
 
 /// Abstract factory: a variable registers one of these so levels can
-/// allocate the matching concrete PatchData for each patch (host or
-/// GPU-resident).
+/// allocate the matching concrete PatchData for each patch.
 class PatchDataFactory {
  public:
   virtual ~PatchDataFactory() = default;
@@ -125,19 +87,13 @@ class PatchDataFactory {
       const mesh::Box& cell_box, const mesh::IntVector& ghosts) const = 0;
 
   /// Allocates on an explicit device (multi-device ranks: the patch's
-  /// assigned device, see vgpu::Topology). Factories for host-resident
-  /// kinds ignore the hint; null means the factory's default device.
+  /// assigned device, see vgpu::Topology); null means the factory's
+  /// default device.
   virtual std::unique_ptr<PatchData> allocate_on(const mesh::Box& cell_box,
-                                                 vgpu::Device* device) const {
-    (void)device;
-    return allocate(cell_box);
-  }
+                                                 vgpu::Device* device) const = 0;
   virtual std::unique_ptr<PatchData> allocate_with_ghosts_on(
       const mesh::Box& cell_box, const mesh::IntVector& ghosts,
-      vgpu::Device* device) const {
-    (void)device;
-    return allocate_with_ghosts(cell_box, ghosts);
-  }
+      vgpu::Device* device) const = 0;
 
   virtual mesh::Centering centering() const = 0;
   virtual mesh::IntVector ghosts() const = 0;

@@ -19,10 +19,6 @@ void Device::charge_crossing(bool h2d, std::uint64_t bytes) {
 void Device::memcpy_h2d(void* dst, const void* src, std::uint64_t bytes) {
   std::memcpy(dst, src, bytes);
   if (spec_.is_accelerator && bytes > 0) {
-    if (batch_depth_ > 0) {
-      batch_h2d_bytes_ += bytes;
-      return;
-    }
     charge_crossing(/*h2d=*/true, bytes);
   }
 }
@@ -30,10 +26,6 @@ void Device::memcpy_h2d(void* dst, const void* src, std::uint64_t bytes) {
 void Device::memcpy_d2h(void* dst, const void* src, std::uint64_t bytes) {
   std::memcpy(dst, src, bytes);
   if (spec_.is_accelerator && bytes > 0) {
-    if (batch_depth_ > 0) {
-      batch_d2h_bytes_ += bytes;
-      return;
-    }
     charge_crossing(/*h2d=*/false, bytes);
   }
 }
@@ -86,36 +78,6 @@ void Device::memcpy_h2d_direct(void* dst, const void* src,
     ++transfers_.gpu_direct_count;
     transfers_.gpu_direct_bytes += bytes;
   }
-}
-
-void Device::charge_h2d_crossing(std::uint64_t bytes) {
-  if (spec_.is_accelerator && bytes > 0) {
-    charge_crossing(/*h2d=*/true, bytes);
-  }
-}
-
-void Device::charge_d2h_crossing(std::uint64_t bytes) {
-  if (spec_.is_accelerator && bytes > 0) {
-    charge_crossing(/*h2d=*/false, bytes);
-  }
-}
-
-void Device::end_transfer_batch() {
-  RAMR_DEBUG_ASSERT(batch_depth_ > 0);
-  if (--batch_depth_ > 0) {
-    return;
-  }
-  if (!batch_absorb_) {
-    if (batch_h2d_bytes_ > 0) {
-      charge_crossing(/*h2d=*/true, batch_h2d_bytes_);
-    }
-    if (batch_d2h_bytes_ > 0) {
-      charge_crossing(/*h2d=*/false, batch_d2h_bytes_);
-    }
-  }
-  batch_absorb_ = false;
-  batch_h2d_bytes_ = 0;
-  batch_d2h_bytes_ = 0;
 }
 
 double Device::modeled_kernel_seconds(std::int64_t n,

@@ -256,35 +256,6 @@ class Device {
   void memcpy_d2h_direct(void* dst, const void* src, std::uint64_t bytes);
   void memcpy_h2d_direct(void* dst, const void* src, std::uint64_t bytes);
 
-  /// While a transfer batch is open, memcpy_h2d/memcpy_d2h still move the
-  /// bytes but defer the modeled cost: on close, each direction with
-  /// traffic is charged as ONE crossing (one PCIe latency + total bytes at
-  /// bandwidth) and logged as one transfer. This models the fused pack of
-  /// the aggregated transfer path: many per-variable staging copies become
-  /// a single bus crossing per aggregated buffer. Batches nest; the charge
-  /// happens when the outermost scope closes. Use the TransferBatch RAII.
-  ///
-  /// An *absorbing* batch drops the accumulated staging copies at close
-  /// instead of charging them: for paths that charge the aggregated
-  /// crossing explicitly via charge_h2d_crossing / charge_d2h_crossing
-  /// (the batched-unpack side, where several peers' buffers are consumed
-  /// interleaved and per-buffer fusion cannot be expressed as one scope).
-  /// Nested batches must agree on the mode — mixing would silently
-  /// double-count or zero crossings.
-  void begin_transfer_batch(bool absorb = false) {
-    RAMR_DEBUG_ASSERT(batch_depth_ == 0 || absorb == batch_absorb_);
-    if (batch_depth_++ == 0) {
-      batch_absorb_ = absorb;
-    }
-  }
-  void end_transfer_batch();
-
-  /// Logs and charges one fused crossing of an aggregated buffer without
-  /// moving data (the data movement happens through memcpys inside an
-  /// absorbing batch). No-op on host "devices".
-  void charge_h2d_crossing(std::uint64_t bytes);
-  void charge_d2h_crossing(std::uint64_t bytes);
-
   /// Launches `n` threads executing body(i) for i in [0, n), data
   /// parallel. Charges modeled kernel time to the device clock.
   template <typename F>
@@ -530,10 +501,6 @@ class Device {
   LaunchTag launch_tag_ = LaunchTag::kOther;
   std::array<std::uint64_t, kLaunchTagCount> launch_count_by_tag_{};
   double kernel_seconds_ = 0.0;
-  int batch_depth_ = 0;
-  bool batch_absorb_ = false;
-  std::uint64_t batch_h2d_bytes_ = 0;
-  std::uint64_t batch_d2h_bytes_ = 0;
 
   /// One deferred-charge group of an open launch-fusion scope: charges
   /// agreeing on (per-thread cost, tag, component) fuse into one launch.
@@ -604,29 +571,6 @@ class LaunchFusionScope {
 
   LaunchFusionScope(const LaunchFusionScope&) = delete;
   LaunchFusionScope& operator=(const LaunchFusionScope&) = delete;
-
- private:
-  Device* device_;
-};
-
-/// RAII transfer batch. A null device is allowed and makes the scope a
-/// no-op, so callers that may run host-only need no branching.
-class TransferBatch {
- public:
-  explicit TransferBatch(Device* device, bool absorb = false)
-      : device_(device) {
-    if (device_ != nullptr) {
-      device_->begin_transfer_batch(absorb);
-    }
-  }
-  ~TransferBatch() {
-    if (device_ != nullptr) {
-      device_->end_transfer_batch();
-    }
-  }
-
-  TransferBatch(const TransferBatch&) = delete;
-  TransferBatch& operator=(const TransferBatch&) = delete;
 
  private:
   Device* device_;

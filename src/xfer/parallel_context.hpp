@@ -25,30 +25,19 @@ struct ParallelContext {
   /// Clock charged for host-side mesh-management work (schedule
   /// construction, box calculus); may be null in unit tests.
   vgpu::SimClock* clock = nullptr;
-  /// The rank's compute device, when data is device-resident: the
-  /// legacy transfer path fuses all staging copies of one aggregated
-  /// message into a single modeled PCIe crossing on it. Null disables
-  /// fusing (host-resident data, or tests that count raw crossings).
+  /// The rank's compute device: launch-category scopes (LaunchTag) of
+  /// the integrator and the gridding pass attribute their launches on
+  /// it. May be null in unit tests.
   vgpu::Device* device = nullptr;
-  /// Execute schedules through the compiled per-peer transfer plans (one
-  /// fused pack/unpack launch per message, one local-copy launch per
-  /// exchange) whenever the data can export device views. False forces
-  /// the per-transaction legacy path (differential testing, ablation).
-  bool compiled_transfer = true;
   /// The rank's device complex when it has more than one device. With a
-  /// topology set, compiled plans treat cross-device endpoints as the
-  /// FAST path — per-(src,dst)-device launch partitions with peer-lane
-  /// copies — instead of demoting the exchange to the legacy path.
+  /// topology set, compiled plans split cross-device endpoints into
+  /// per-(src,dst)-device launch partitions with peer-lane copies;
+  /// without one, endpoints on two devices are rejected.
   vgpu::Topology* topology = nullptr;
   /// GPU-direct RDMA wire mode: packed send buffers ship NIC-direct, so
   /// the compiled path skips the modeled per-message D2H before isend and
-  /// H2D after receive (wire time is unchanged). Compiled path only.
+  /// H2D after receive (wire time is unchanged).
   bool gpu_direct = false;
-  /// Executes that wanted the compiled path but demoted to legacy (data
-  /// could not export views, or endpoints spanned devices without a
-  /// topology). Single-device runs assert this stays zero — a silent
-  /// demotion is a performance bug, not a correctness fallback.
-  std::uint64_t plan_fallbacks = 0;
   /// Multi-lane timing model of the async-overlap runs, or null for the
   /// synchronous single-cursor model. When set, split-phase schedule
   /// execution charges its pack/send legs on the "comm" lane so their

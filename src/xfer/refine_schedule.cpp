@@ -470,9 +470,6 @@ void RefineSchedule::clamp_fill_uncovered_scratch() {
         continue;
       }
       pdat::PatchData* scratch = scratch_[f][n].get();
-      if (!scratch->supports_transfer_views()) {
-        continue;  // host scratch: value-initialised storage, no raw reads
-      }
       vgpu::Device& dev = *scratch->transfer_device();
       vgpu::Stream stream(dev, "xfer");
       vgpu::LaneScope scope(tl, fork_gpu_lane(tl, &dev));

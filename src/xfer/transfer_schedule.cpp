@@ -18,9 +18,7 @@ struct MessageHeader {
   std::uint64_t payload_bytes = 0;
 };
 
-/// Pack / unpack / copy move 8 bytes in and 8 bytes out per thread (the
-/// same per-element cost the per-transaction kernels charge, so fusing
-/// changes launch overhead and occupancy, not per-element work).
+/// Pack / unpack / copy move 8 bytes in and 8 bytes out per thread.
 constexpr vgpu::KernelCost kXferCost{0.0, 16.0};
 
 }  // namespace
@@ -69,8 +67,7 @@ void TransferSchedule::compile_plans() {
   const int me = ctx_->my_rank;
 
   // Payload base (in doubles) of each framed transaction within its
-  // message — the same accumulation order the legacy per-transaction
-  // pack walks, so compiled and legacy endpoints agree on the wire.
+  // message: transactions follow each other in plan order.
   std::vector<std::int64_t> payload_base(transactions_.size(), 0);
   for (auto* messages : {&send_messages_, &recv_messages_}) {
     for (auto& [peer, msg] : *messages) {
@@ -85,7 +82,7 @@ void TransferSchedule::compile_plans() {
 
   // Pack plans: segments in SOURCE index space, in exact payload layout
   // order — component-major, then depth plane, then overlap box, each box
-  // row-major — matching the byte layout PatchData::pack_stream produces.
+  // row-major. Both endpoints derive it from the replicated geometry.
   // Pack only reads, so no clipping is needed and the segment-table
   // offsets walk the payload contiguously.
   for (const auto& [peer, msg] : send_messages_) {
@@ -224,11 +221,10 @@ void TransferSchedule::compile_plans() {
   plans_compiled_ = true;
 }
 
-TransferSchedule::Binding TransferSchedule::bind(TransferDelegate& delegate) {
+bool TransferSchedule::bind(TransferDelegate& delegate) {
   bindings_.assign(transactions_.size(), TransferEndpoints{});
   plan_device_ = nullptr;
   multi_device_ = false;
-  bool viewable = true;
   const int me = ctx_->my_rank;
   for (std::size_t i = 0; i < transactions_.size(); ++i) {
     const Transaction& t = transactions_[i];
@@ -247,37 +243,29 @@ TransferSchedule::Binding TransferSchedule::bind(TransferDelegate& delegate) {
       if (data == nullptr) {
         continue;
       }
-      if (!data->supports_transfer_views()) {
-        viewable = false;
-        continue;
-      }
       vgpu::Device* dev = data->transfer_device();
       if (plan_device_ == nullptr) {
         plan_device_ = dev;
       } else if (plan_device_ != dev) {
-        if (ctx_->topology != nullptr) {
-          // FAST path: with a topology the plans stay compiled and split
-          // into per-device launch partitions, peer crossings charged to
-          // the link lanes (build_device_parts below).
-          multi_device_ = true;
-        } else {
-          viewable = false;  // cross-device endpoints: stage per transaction
-        }
+        // With a topology the plans split into per-device launch
+        // partitions, peer crossings charged to the link lanes
+        // (build_device_parts below). Without one there is no peer link
+        // to charge, so endpoints on two devices are a wiring error.
+        RAMR_REQUIRE(ctx_->topology != nullptr,
+                     "transfer schedule (tag " << tag_ << ") has endpoints "
+                     "on two devices but no topology");
+        multi_device_ = true;
       }
     }
     bindings_[i] = ep;
   }
-  if (!viewable) {
-    multi_device_ = false;
-    return Binding::kLegacy;
-  }
   if (plan_device_ == nullptr) {
-    return Binding::kEmpty;
+    return false;
   }
   if (multi_device_) {
     build_device_parts();
   }
-  return Binding::kViewable;
+  return true;
 }
 
 void TransferSchedule::build_device_parts() {
@@ -373,37 +361,21 @@ void TransferSchedule::execute_begin(TransferDelegate& delegate) {
   const bool remote = !send_messages_.empty() || !recv_messages_.empty();
   RAMR_REQUIRE(!remote || ctx_->comm != nullptr,
                "distributed transfer plan without a communicator");
-  const Binding binding = bind(delegate);
+  flight_bound_ = bind(delegate);
   in_flight_ = true;
-  flight_compiled_ = false;
-  if (binding == Binding::kEmpty) {
+  if (!flight_bound_) {
     // No transaction touches this rank, so there is nothing to pack,
-    // send, receive or apply on any path.
+    // send, receive or apply.
     RAMR_DEBUG_ASSERT(!remote);
     return;
   }
-  const bool viewable = binding == Binding::kViewable;
-  flight_compiled_ = ctx_->compiled_transfer && viewable;
-  if (ctx_->compiled_transfer && !viewable) {
-    // Wanted the fast path, demoted to legacy: surfaced through the run
-    // metrics and hard-asserted zero in single-device benches.
-    ++ctx_->plan_fallbacks;
-  }
-  if (flight_compiled_) {
-    ++compiled_executions_;
-    execute_compiled_begin();
-  } else {
-    // The per-transaction path interleaves receives with applies and
-    // cannot split; run the whole exchange here so begin/finish callers
-    // stay correct on any data kind.
-    ++legacy_executions_;
-    execute_legacy();
-  }
+  ++compiled_executions_;
+  execute_compiled_begin();
 }
 
 void TransferSchedule::execute_finish() {
   RAMR_REQUIRE(in_flight_, "execute_finish() without execute_begin()");
-  if (flight_compiled_) {
+  if (flight_bound_) {
     execute_compiled_finish();
   }
   in_flight_ = false;
@@ -857,137 +829,6 @@ void TransferSchedule::execute_compiled_finish() {
       join = std::max(join, tl->now(lane));
     }
     tl->advance(tl->active_lane(), join);
-  }
-}
-
-void TransferSchedule::execute_legacy() {
-  // Per-transaction path over PatchData::pack_stream / unpack_stream /
-  // copy: the fallback for data without view export, and the
-  // differential-testing reference for the compiled plans (identical
-  // wire format, identical plan-order apply).
-  const int me = ctx_->my_rank;
-
-  // 1. Post every receive before any packing happens.
-  std::map<int, simmpi::Request> recvs;
-  for (const auto& [peer, msg] : recv_messages_) {
-    (void)msg;
-    recvs.emplace(peer, ctx_->comm->irecv(peer, tag_));
-  }
-
-  // 2. One aggregated message per destination peer: exact-size
-  //    preallocation, fused pack (one modeled PCIe crossing for the whole
-  //    buffer when the data is device-resident), single isend.
-  std::vector<pdat::MessageStream> send_streams;
-  send_streams.reserve(send_messages_.size());
-  std::vector<simmpi::Request> sends;
-  sends.reserve(send_messages_.size());
-  for (const auto& [peer, msg] : send_messages_) {
-    pdat::MessageStream ms;
-    ms.reserve(msg.wire_bytes);
-    MessageHeader header;
-    header.transaction_count =
-        static_cast<std::uint32_t>(msg.transaction_indices.size());
-    header.payload_bytes = msg.payload_bytes;
-    ms.write(header);
-    {
-      vgpu::TransferBatch batch(ctx_->device);
-      vgpu::LaunchTagScope tag_scope(plan_device_,
-                                     vgpu::LaunchTag::kTransferPack);
-      for (const std::size_t i : msg.transaction_indices) {
-        bindings_[i].src->pack_stream(ms, *geometry_[i].overlap);
-      }
-    }
-    RAMR_REQUIRE(ms.size() == msg.wire_bytes,
-                 "aggregated message to rank " << peer << " packed "
-                 << ms.size() << " bytes, planned " << msg.wire_bytes);
-    send_streams.push_back(std::move(ms));
-    sends.push_back(ctx_->comm->isend(peer, tag_, send_streams.back().data(),
-                                      send_streams.back().size()));
-  }
-
-  // 3. Stage every LOCAL transaction's source before any apply write —
-  //    the same pack-then-apply snapshot a remote peer performs (remote
-  //    payloads are always packed before the apply phase), so a local
-  //    copy can never observe this exchange's writes. Without this,
-  //    seam values of node/side data could depend on the rank layout
-  //    (an in-place serial copy chains through earlier writes, a packed
-  //    remote copy does not). The absorbing batch keeps the modeled PCIe
-  //    account clean: local staging never crosses the bus.
-  std::map<std::size_t, pdat::MessageStream> local_streams;
-  {
-    vgpu::TransferBatch local_batch(ctx_->device, /*absorb=*/true);
-    vgpu::LaunchTagScope tag_scope(plan_device_, vgpu::LaunchTag::kLocalCopy);
-    for (std::size_t i = 0; i < transactions_.size(); ++i) {
-      const Transaction& t = transactions_[i];
-      if (t.src_owner != me || t.dst_owner != me) {
-        continue;
-      }
-      pdat::MessageStream ms;
-      bindings_[i].src->pack_stream(ms, *geometry_[i].overlap);
-      local_streams.emplace(i, std::move(ms));
-    }
-  }
-
-  // 4. Apply in plan order. Each peer's stream is opened (and its frame
-  //    validated) on first use and then consumed sequentially — the
-  //    sender packed it in the same replicated plan order. Each received
-  //    aggregated buffer is charged as ONE modeled PCIe crossing when it
-  //    is opened; the absorbing batch swallows the per-transaction
-  //    staging uploads, which interleave across peers and are part of
-  //    those already-charged buffers (and the local snapshot downloads,
-  //    which never really cross the bus).
-  std::map<int, pdat::MessageStream> streams;
-  vgpu::TransferBatch unpack_batch(
-      recvs.empty() && local_streams.empty() ? nullptr : ctx_->device,
-      /*absorb=*/true);
-  for (std::size_t i = 0; i < transactions_.size(); ++i) {
-    const Transaction& t = transactions_[i];
-    if (t.dst_owner != me) {
-      continue;
-    }
-    if (t.src_owner == me) {
-      vgpu::LaunchTagScope tag_scope(plan_device_,
-                                     vgpu::LaunchTag::kLocalCopy);
-      auto ls = local_streams.find(i);
-      RAMR_DEBUG_ASSERT(ls != local_streams.end());
-      bindings_[i].dst->unpack_stream(ls->second, *geometry_[i].overlap);
-      continue;
-    }
-    auto it = streams.find(t.src_owner);
-    if (it == streams.end()) {
-      auto rit = recvs.find(t.src_owner);
-      RAMR_REQUIRE(rit != recvs.end(), "no posted receive for rank "
-                   << t.src_owner);
-      ctx_->comm->wait(rit->second);
-      pdat::MessageStream ms(rit->second.take_payload());
-      const PeerMessage& expected = recv_messages_.at(t.src_owner);
-      RAMR_REQUIRE(ms.size() == expected.wire_bytes,
-                   "aggregated message from rank " << t.src_owner << " is "
-                   << ms.size() << " bytes, planned " << expected.wire_bytes);
-      const auto header = ms.read<MessageHeader>();
-      RAMR_REQUIRE(header.transaction_count ==
-                           expected.transaction_indices.size() &&
-                       header.payload_bytes == expected.payload_bytes,
-                   "aggregated message frame mismatch from rank "
-                   << t.src_owner);
-      if (ctx_->device != nullptr) {
-        ctx_->device->charge_h2d_crossing(expected.payload_bytes);
-      }
-      it = streams.emplace(t.src_owner, std::move(ms)).first;
-    }
-    vgpu::LaunchTagScope tag_scope(plan_device_,
-                                   vgpu::LaunchTag::kTransferUnpack);
-    bindings_[i].dst->unpack_stream(it->second, *geometry_[i].overlap);
-  }
-  for (auto& [peer, ms] : streams) {
-    RAMR_REQUIRE(ms.fully_consumed(), "aggregated message from rank " << peer
-                 << " not fully consumed: " << ms.read_position() << " of "
-                 << ms.size());
-  }
-  RAMR_REQUIRE(streams.size() == recvs.size(),
-               "posted receives without matching transactions");
-  if (!sends.empty()) {
-    ctx_->comm->wait_all(sends);
   }
 }
 

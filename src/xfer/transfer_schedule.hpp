@@ -34,11 +34,8 @@
 //
 // Schedules describe their transactions through TransferDelegate
 // (geometry once at compile time, endpoint binding each execute); the
-// engine owns all marshalling. Data kinds that cannot export device
-// views (host arrays, spilled device arrays) — or a context with
-// compiled_transfer disabled — run the per-transaction legacy path built
-// on PatchData::pack_stream/unpack_stream/copy, kept for differential
-// testing and as the wire-compatible fallback.
+// engine owns all marshalling through the device views every PatchData
+// exports. The compiled plans are the only way data moves.
 #pragma once
 
 #include <cstdint>
@@ -55,12 +52,9 @@
 
 namespace ramr::xfer {
 
-/// Exact bytes a depth-`depth` double-array PatchData packs for
+/// Exact payload bytes of a depth-`depth` double-array transaction over
 /// `overlap` — the shared sizing rule both endpoints of a transaction
-/// apply to the replicated overlap metadata. Every current PatchData
-/// kind can_estimate_stream_size_from_box(), so this equals its
-/// data_stream_size(); the engine's packed-size REQUIRE catches any
-/// future kind that diverges.
+/// apply to the replicated overlap metadata.
 inline std::size_t overlap_stream_size(const pdat::BoxOverlap& overlap,
                                        int depth) {
   return static_cast<std::size_t>(overlap.element_count()) *
@@ -156,12 +150,12 @@ class TransferSchedule {
   /// Equivalent to execute_begin() + execute_finish().
   void execute(TransferDelegate& delegate);
 
-  /// Split-phase execution, compiled-plan path: execute_begin() posts
-  /// every receive, issues the fused pack launches + one isend per peer
-  /// message, and runs the local-copy apply (snapshot included) — under
-  /// an attached timeline (ParallelContext::timeline) all of it on the
-  /// "comm" lane, with the wire legs on the network lane, so everything
-  /// the caller runs before execute_finish() overlaps the communication.
+  /// Split-phase execution: execute_begin() posts every receive, issues
+  /// the fused pack launches + one isend per peer message, and runs the
+  /// local-copy apply (snapshot included) — under an attached timeline
+  /// (ParallelContext::timeline) all of it on the "comm" lane, with the
+  /// wire legs on the network lane, so everything the caller runs before
+  /// execute_finish() overlaps the communication.
   /// execute_finish() waits for the messages, uploads + fused-unpacks
   /// them, completes the sends, and joins the comm lane back into the
   /// caller's lane (an Event recorded on the comm stream).
@@ -170,8 +164,6 @@ class TransferSchedule {
   /// — only the modeled timestamps differ — so split and single-phase
   /// execution are bit-identical by construction. The caller must not
   /// touch data the exchange reads or writes between begin and finish.
-  /// The legacy per-transaction path cannot split: begin runs the whole
-  /// exchange synchronously and finish only clears the in-flight state.
   void execute_begin(TransferDelegate& delegate);
   void execute_finish();
 
@@ -211,10 +203,9 @@ class TransferSchedule {
     return n;
   }
 
-  /// How many executes ran the compiled / legacy path. An execute with no
-  /// transaction on this rank is a no-op and counts as neither.
+  /// How many executes ran the compiled plans. An execute with no
+  /// transaction on this rank is a no-op and does not count.
   std::uint64_t compiled_executions() const { return compiled_executions_; }
-  std::uint64_t legacy_executions() const { return legacy_executions_; }
 
  private:
   /// All transactions flowing between this rank and one peer, in plan
@@ -280,18 +271,13 @@ class TransferSchedule {
   };
 
   void compile_plans();
-  /// What bind() found on this rank.
-  enum class Binding {
-    kEmpty,     ///< no transaction touches this rank: nothing to execute
-    kViewable,  ///< every endpoint exports views: the compiled plans apply
-    kLegacy,    ///< some endpoint lacks views: per-transaction path only
-  };
-  Binding bind(TransferDelegate& delegate);
+  /// Binds this execute's endpoints and their devices; false when no
+  /// transaction touches this rank (nothing to execute).
+  bool bind(TransferDelegate& delegate);
   void build_device_parts();
   void execute_compiled_begin();
   void execute_compiled_finish();
   void execute_local_plan(vgpu::Timeline* tl, int comm_lane);
-  void execute_legacy();
   /// Forks `dev`'s per-device transfer lane from the comm lane's cursor
   /// and remembers it for the closing join (multi-device ranks: each
   /// device's plan partitions serialize on their own lane, not on the
@@ -328,11 +314,10 @@ class TransferSchedule {
   std::vector<PeerPart> local_peer_parts_;
   std::vector<std::int64_t> peer_offset_;  ///< per local op, doubles
   std::uint64_t compiled_executions_ = 0;
-  std::uint64_t legacy_executions_ = 0;
 
   // Split-phase in-flight state (execute_begin .. execute_finish).
   bool in_flight_ = false;
-  bool flight_compiled_ = false;
+  bool flight_bound_ = false;  ///< bind() found work on this rank
   std::map<int, simmpi::Request> flight_recvs_;
   std::vector<pdat::MessageStream> flight_send_streams_;
   std::vector<simmpi::Request> flight_sends_;

@@ -104,6 +104,10 @@ TEST(Config, RejectsUnknownKeysNamingThePath) {
   expect_config_error("{\"grid\": {\"nz\": 4}}", "grid.nz");
   expect_config_error("{\"amr\": {\"max_level\": 2}}", "amr.max_level");
   expect_config_error("{\"output\": {\"vtk\": 1}}", "output.vtk");
+  // No key selects the transfer path (the compiled plans are the only
+  // one), so a config that still sets the old switch is rejected.
+  expect_config_error("{\"execution\": {\"compiled_transfer\": true}}",
+                      "execution.compiled_transfer");
 }
 
 TEST(Config, RejectsTypeMismatchesNamingThePath) {
@@ -181,7 +185,6 @@ TEST(Config, EmptyDocumentYieldsTodaysDefaults) {
   EXPECT_EQ(c.sim.min_patch_size, def.min_patch_size);
   EXPECT_DOUBLE_EQ(c.sim.cluster_efficiency, def.cluster_efficiency);
   EXPECT_EQ(c.sim.batched_launch, def.batched_launch);
-  EXPECT_EQ(c.sim.compiled_transfer, def.compiled_transfer);
   EXPECT_EQ(c.sim.async_overlap, def.async_overlap);
   EXPECT_EQ(c.sim.wide_overlap, def.wide_overlap);
   EXPECT_EQ(c.sim.device.name, def.device.name);
@@ -273,8 +276,7 @@ TEST(Config, ToJsonRoundTripsEveryField) {
       "  \"max_patch_cells\": 1024, \"min_patch_size\": 4,"
       "  \"cluster_efficiency\": 0.5},"
       " \"execution\": {\"batched_launch\": false,"
-      "  \"compiled_transfer\": false, \"async_overlap\": true,"
-      "  \"wide_overlap\": false},"
+      "  \"async_overlap\": true, \"wide_overlap\": false},"
       " \"device\": {\"preset\": \"opteron_6274_node\","
       "  \"peak_gflops\": 100.0},"
       " \"network\": {\"preset\": \"cray_gemini\", \"latency_s\": 2e-6},"

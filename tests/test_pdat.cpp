@@ -1,14 +1,16 @@
-// Unit tests for patch data: host ArrayData and Cell/Node/Side data,
-// GPU-resident CudaData, overlap calculus, pack/unpack round trips, and
-// the residency accounting (pack = exactly one PCIe crossing, Fig. 4).
+// Unit tests for patch data: GPU-resident CudaData, the overlap calculus
+// and MessageStream framing. Transfers between patch data objects are
+// tested through the compiled plans (test_transfer_plan.cpp,
+// test_xfer.cpp).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "mesh/box.hpp"
 #include "pdat/box_overlap.hpp"
 #include "pdat/cuda/cuda_data.hpp"
-#include "pdat/host_data.hpp"
+#include "pdat/message_stream.hpp"
 #include "vgpu/device_spec.hpp"
 
 namespace ramr::pdat {
@@ -17,99 +19,6 @@ namespace {
 using mesh::Box;
 using mesh::Centering;
 using mesh::IntVector;
-
-TEST(ArrayData, FillAndIndex) {
-  ArrayData a(Box(0, 0, 4, 3));
-  a.fill(7.0);
-  EXPECT_DOUBLE_EQ(a.at(0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(a.at(4, 3), 7.0);
-  a.fill(1.0, Box(1, 1, 2, 2));
-  EXPECT_DOUBLE_EQ(a.at(1, 1), 1.0);
-  EXPECT_DOUBLE_EQ(a.at(0, 0), 7.0);
-}
-
-TEST(ArrayData, DepthPlanesAreIndependent) {
-  ArrayData a(Box(0, 0, 3, 3), 2);
-  a.view(0)(1, 1) = 5.0;
-  a.view(1)(1, 1) = 9.0;
-  EXPECT_DOUBLE_EQ(a.view(0)(1, 1), 5.0);
-  EXPECT_DOUBLE_EQ(a.view(1)(1, 1), 9.0);
-}
-
-TEST(ArrayData, CopyWithShift) {
-  ArrayData src(Box(0, 0, 3, 3));
-  ArrayData dst(Box(10, 10, 13, 13));
-  for (int j = 0; j <= 3; ++j) {
-    for (int i = 0; i <= 3; ++i) {
-      src.at(i, j) = 10.0 * i + j;
-    }
-  }
-  // dst(p) = src(p - (10, 10)).
-  dst.copy_from(src, Box(10, 10, 13, 13), IntVector(10, 10));
-  EXPECT_DOUBLE_EQ(dst.at(10, 10), 0.0);
-  EXPECT_DOUBLE_EQ(dst.at(13, 12), 32.0);
-}
-
-TEST(ArrayData, PackUnpackRoundTrip) {
-  ArrayData src(Box(0, 0, 7, 7));
-  for (int j = 0; j <= 7; ++j) {
-    for (int i = 0; i <= 7; ++i) {
-      src.at(i, j) = i + 100.0 * j;
-    }
-  }
-  mesh::BoxList regions;
-  regions.push_back(Box(0, 0, 2, 1));
-  regions.push_back(Box(5, 5, 7, 7));
-  MessageStream ms;
-  src.pack(ms, regions);
-  EXPECT_EQ(ms.size(), ArrayData::stream_size(regions, 1));
-
-  ArrayData dst(Box(0, 0, 7, 7));
-  dst.fill(-1.0);
-  dst.unpack(ms, regions);
-  EXPECT_TRUE(ms.fully_consumed());
-  EXPECT_DOUBLE_EQ(dst.at(1, 1), 101.0);
-  EXPECT_DOUBLE_EQ(dst.at(6, 6), 606.0);
-  EXPECT_DOUBLE_EQ(dst.at(3, 3), -1.0);  // untouched
-}
-
-TEST(ArrayData, PackOutsideBoxThrows) {
-  ArrayData a(Box(0, 0, 3, 3));
-  MessageStream ms;
-  mesh::BoxList bad;
-  bad.push_back(Box(2, 2, 5, 5));
-  EXPECT_THROW(a.pack(ms, bad), util::Error);
-}
-
-TEST(HostData, CentringShapes) {
-  const Box cells(0, 0, 9, 4);
-  const IntVector g(2, 2);
-  CellData c(cells, g);
-  NodeData n(cells, g);
-  SideData s(cells, g);
-  EXPECT_EQ(c.component(0).index_box(), Box(-2, -2, 11, 6));
-  EXPECT_EQ(n.component(0).index_box(), Box(-2, -2, 12, 7));
-  EXPECT_EQ(s.components(), 2);
-  EXPECT_EQ(s.component(0).index_box(), Box(-2, -2, 12, 6));  // x faces
-  EXPECT_EQ(s.component(1).index_box(), Box(-2, -2, 11, 7));  // y faces
-  EXPECT_EQ(c.ghost_box(), Box(-2, -2, 11, 6));
-  EXPECT_EQ(c.box(), cells);
-}
-
-TEST(HostData, CopyBetweenNeighbours) {
-  // Two adjacent patches; right patch's ghost cells get left's interior.
-  CellData left(Box(0, 0, 4, 4), IntVector(2, 2));
-  CellData right(Box(5, 0, 9, 4), IntVector(2, 2));
-  left.fill(1.5);
-  right.fill(0.0);
-  const BoxOverlap ov =
-      overlap_for_copy(Centering::kCell, Box(0, 0, 4, 4), Box(5, 0, 9, 4),
-                       IntVector(2, 2));
-  right.copy(left, ov);
-  EXPECT_DOUBLE_EQ(right.view()(4, 2), 1.5);   // ghost filled
-  EXPECT_DOUBLE_EQ(right.view()(3, 2), 1.5);   // ghost filled (width 2)
-  EXPECT_DOUBLE_EQ(right.view()(5, 2), 0.0);   // interior untouched
-}
 
 TEST(Overlap, CopyOverlapMatchesGhostIntersection) {
   const BoxOverlap ov =
@@ -140,36 +49,6 @@ TEST(Overlap, SideOverlapHasTwoComponents) {
   EXPECT_EQ(ov.component(1).size(), 20);  // 4x5 y-faces
 }
 
-TEST(HostData, StreamRoundTripAllCentrings) {
-  const Box cells(0, 0, 6, 5);
-  const IntVector g(1, 1);
-  for (const Centering c :
-       {Centering::kCell, Centering::kNode, Centering::kSide}) {
-    HostData src(cells, g, c, 1);
-    HostData dst(cells, g, c, 1);
-    for (int k = 0; k < src.components(); ++k) {
-      const Box ib = src.component(k).index_box();
-      for (int j = ib.lower().j; j <= ib.upper().j; ++j) {
-        for (int i = ib.lower().i; i <= ib.upper().i; ++i) {
-          src.view(k)(i, j) = 1000.0 * k + 10.0 * i + j;
-        }
-      }
-    }
-    mesh::BoxList region;
-    region.push_back(Box(2, 2, 4, 4));
-    const BoxOverlap ov = overlap_for_region(c, region);
-    MessageStream ms;
-    src.pack_stream(ms, ov);
-    EXPECT_EQ(ms.size(), src.data_stream_size(ov));
-    dst.unpack_stream(ms, ov);
-    EXPECT_TRUE(ms.fully_consumed());
-    for (int k = 0; k < dst.components(); ++k) {
-      EXPECT_DOUBLE_EQ(dst.view(k)(3, 3), 1000.0 * k + 33.0)
-          << centering_name(c) << " component " << k;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // GPU-resident data
 
@@ -186,83 +65,6 @@ TEST_F(CudaDataTest, FillAndDownload) {
   for (double v : host) {
     ASSERT_DOUBLE_EQ(v, 3.25);
   }
-}
-
-TEST_F(CudaDataTest, PackIsOneDeviceToHostTransfer) {
-  pdat::cuda::CudaCellData d(dev_, Box(0, 0, 31, 31), IntVector(2, 2));
-  d.fill(1.0);
-  mesh::BoxList region;
-  region.push_back(Box(0, 0, 31, 1));   // bottom halo rows
-  region.push_back(Box(0, 30, 31, 31)); // top halo rows
-  const BoxOverlap ov = overlap_for_region(Centering::kCell, region);
-  const auto before = dev_.transfers();
-  MessageStream ms;
-  d.pack_stream(ms, ov);
-  const auto delta = dev_.transfers() - before;
-  // The paper's design: gather on device, then a single contiguous PCIe
-  // copy — not one transfer per row or per element.
-  EXPECT_EQ(delta.d2h_count, 1u);
-  // 2 rows x 32 cells per region, 2 regions, 8 bytes each.
-  EXPECT_EQ(delta.d2h_bytes, 2u * 32u * 2u * 8u);
-  EXPECT_EQ(delta.h2d_count, 0u);
-}
-
-TEST_F(CudaDataTest, PackUnpackMatchesHostData) {
-  const Box cells(0, 0, 11, 7);
-  const IntVector g(2, 2);
-  // Build identical content in host and device data.
-  HostData host_src(cells, g, Centering::kCell, 1);
-  pdat::cuda::CudaCellData cuda_src(dev_, cells, g);
-  const Box ib = host_src.component(0).index_box();
-  std::vector<double> plane(static_cast<std::size_t>(ib.size()));
-  for (std::size_t n = 0; n < plane.size(); ++n) {
-    plane[n] = static_cast<double>(n) * 0.5 - 7.0;
-  }
-  std::copy(plane.begin(), plane.end(),
-            host_src.component(0).plane(0));
-  cuda_src.component(0).upload_plane(plane);
-
-  mesh::BoxList region;
-  region.push_back(Box(3, 1, 9, 6));
-  const BoxOverlap ov = overlap_for_region(Centering::kCell, region);
-
-  MessageStream host_ms;
-  host_src.pack_stream(host_ms, ov);
-  MessageStream cuda_ms;
-  cuda_src.pack_stream(cuda_ms, ov);
-  ASSERT_EQ(host_ms.size(), cuda_ms.size());
-  EXPECT_EQ(0, std::memcmp(host_ms.data(), cuda_ms.data(), host_ms.size()));
-
-  // Unpack into a device destination and compare against the host path.
-  pdat::cuda::CudaCellData cuda_dst(dev_, cells, g);
-  cuda_dst.fill(0.0);
-  cuda_dst.unpack_stream(cuda_ms, ov);
-  HostData host_dst(cells, g, Centering::kCell, 1);
-  host_dst.fill(0.0);
-  host_dst.unpack_stream(host_ms, ov);
-  const auto got = cuda_dst.component(0).download_plane();
-  EXPECT_EQ(0, std::memcmp(got.data(), host_dst.component(0).plane(0),
-                           got.size() * sizeof(double)));
-}
-
-TEST_F(CudaDataTest, DeviceToDeviceCopyStaysOnDevice) {
-  pdat::cuda::CudaCellData a(dev_, Box(0, 0, 9, 9), IntVector(1, 1));
-  pdat::cuda::CudaCellData b(dev_, Box(10, 0, 19, 9), IntVector(1, 1));
-  a.fill(4.0);
-  b.fill(0.0);
-  const auto before = dev_.transfers();
-  const BoxOverlap ov = overlap_for_copy(Centering::kCell, Box(0, 0, 9, 9),
-                                         Box(10, 0, 19, 9), IntVector(1, 1));
-  b.copy(a, ov);
-  const auto delta = dev_.transfers() - before;
-  // Residency: same-device copies never cross PCIe.
-  EXPECT_EQ(delta.total_count(), 0u);
-  const auto host = b.component(0).download_plane();
-  // b's ghost index box is (9,-1)..(20,10), width 12. The overlap with
-  // a's interior is the column i=9, j=0..9; its first element (9,0) is at
-  // flat index 12 (one full row in).
-  EXPECT_DOUBLE_EQ(host[12], 4.0);
-  EXPECT_DOUBLE_EQ(host[0], 0.0);  // corner (9,-1) is outside the overlap
 }
 
 TEST_F(CudaDataTest, SideDataComponents) {

@@ -10,6 +10,7 @@
 
 #include "amr/load_balancer.hpp"
 #include "app/simulation.hpp"
+#include "vgpu/device_buffer.hpp"
 #include "vgpu/timeline.hpp"
 #include "vgpu/topology.hpp"
 
@@ -30,7 +31,9 @@ TEST(Topology, OwnsDevicesWithOrdinalsOnOneClock) {
   }
   // All devices charge the shared clock: one account per rank.
   const double before = clock.total();
-  topo.device(2).charge_h2d_crossing(1 << 20);
+  std::vector<std::byte> host(1 << 20);
+  vgpu::DeviceBuffer<std::byte> buf(topo.device(2), 1 << 20);
+  topo.device(2).memcpy_h2d(buf.device_ptr(), host.data(), host.size());
   EXPECT_GT(clock.total(), before);
 }
 

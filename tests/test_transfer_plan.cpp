@@ -1,18 +1,22 @@
 // Compiled transfer plans (xfer::TransferSchedule): plan compilation and
 // caching, fused launch budgets (pack launches == messages sent, unpack
 // launches == messages received, one local-copy launch per exchange),
-// bit-exactness against the per-transaction legacy path over full runs
-// with regrids, and plan-cache invalidation on schedule rebuild.
+// bit-exactness against digests recorded from the per-transaction
+// transfer path the plans replaced (ghost fills and full runs with
+// regrids), plan-cache invalidation on schedule rebuild, and the
+// rejection of cross-device endpoints without a topology.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "app/simulation.hpp"
 #include "geom/refine_operators.hpp"
 #include "hier/patch_hierarchy.hpp"
 #include "pdat/cuda/cuda_data.hpp"
 #include "simmpi/communicator.hpp"
+#include "vgpu/topology.hpp"
 #include "xfer/refine_schedule.hpp"
 
 namespace ramr::xfer {
@@ -95,6 +99,23 @@ std::uint64_t tag_count(const vgpu::Device& dev, LaunchTag tag) {
   return dev.launch_count(tag);
 }
 
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
 TEST(TransferPlan, PlansCompileOnFinalizeAndCacheAcrossExecutes) {
   Fixture f;
   auto level0 = f.hierarchy.level_ptr(0);
@@ -117,7 +138,6 @@ TEST(TransferPlan, PlansCompileOnFinalizeAndCacheAcrossExecutes) {
   sched->fill();
   // Both executes ran the compiled path against the SAME cached plan.
   EXPECT_EQ(engine.compiled_executions(), 2u);
-  EXPECT_EQ(engine.legacy_executions(), 0u);
   EXPECT_EQ(engine.plan_segment_count(), segments);
   // Repeated fills are idempotent on already-exchanged data.
   EXPECT_DOUBLE_EQ(f.at(*level0->local_patch(0), 8, 3), -3.0 * 8 + 3);
@@ -202,55 +222,64 @@ TEST(TransferPlan, PackUnpackLaunchesEqualMessageCounts) {
   });
 }
 
-TEST(TransferPlan, CompiledMatchesLegacyGhostsBitwise) {
-  // Same fixture, same data: one fill through the compiled plans, one
-  // through the per-transaction legacy path (ctx.compiled_transfer off);
-  // every value of every component must match bit for bit — including
-  // the node-seam overlaps the compiler clips to last-writer-wins.
-  for (const Centering centering : {Centering::kCell, Centering::kNode,
-                                    Centering::kSide}) {
-    Fixture compiled(centering);
-    Fixture legacy(centering);
-    legacy.ctx.compiled_transfer = false;
-    for (Fixture* f : {&compiled, &legacy}) {
-      auto level0 = f->hierarchy.level_ptr(0);
-      for (int gid : {0, 1}) {
-        f->fill(*level0->local_patch(gid), [gid](int i, int j) {
-          return std::sin(0.3 * i) * (gid + 1.0) + 0.02 * j;
-        });
-        f->fill(*level0->local_patch(gid), [gid](int i, int j) {
-          return std::cos(0.2 * j) - gid * i;
-        }, f->var2);
-      }
-      RefineAlgorithm alg;
-      alg.add(RefineItem{f->var, nullptr});
-      alg.add(RefineItem{f->var2, nullptr});
-      auto sched = alg.create_schedule(level0, level0, nullptr,
-                                       f->hierarchy.variables(), f->ctx,
-                                       nullptr, FillMode::kGhostsOnly);
-      sched->fill();
-      if (f == &compiled) {
-        EXPECT_EQ(sched->same_level_engine().compiled_executions(), 1u);
-      } else {
-        EXPECT_EQ(sched->same_level_engine().legacy_executions(), 1u);
-      }
-    }
+TEST(TransferPlan, GhostsMatchRecordedDigests) {
+  // One same-level ghost fill of two variables per centring; every
+  // component plane of every patch (ghosts included) must hash to the
+  // value recorded from the per-transaction transfer path, which applied
+  // transactions one by one in plan order — including the node/side seam
+  // lines each patch both reads and writes (the snapshot stage).
+  struct Recorded {
+    Centering centering;
+    std::vector<std::uint64_t> planes;  ///< patch, then variable, then component
+  };
+  const Recorded recorded[] = {
+      {Centering::kCell,
+       {0xb71b60d1b05d3428ull, 0xe5e057e6ddc44338ull, 0xfeec7e75860b4c1cull,
+        0x27a2424b5cf1ab94ull}},
+      {Centering::kNode,
+       {0x6109608fbfb04bd4ull, 0xa23b9da027119bc2ull, 0xb9db027bbbae5016ull,
+        0x82688dd2003afca2ull}},
+      {Centering::kSide,
+       {0x9644ada276dfed01ull, 0xe407d14e462210b4ull, 0x632a5646ba66223dull,
+        0xcb7aa9d5d581f8b6ull, 0xff3f7c115264425full, 0x5ab3c17fc71ba905ull,
+        0x81bbc4c67674894dull, 0x2f94c63b7d7e122aull}},
+  };
+  for (const Recorded& want : recorded) {
+    Fixture f(want.centering);
+    auto level0 = f.hierarchy.level_ptr(0);
     for (int gid : {0, 1}) {
-      auto pc = compiled.hierarchy.level_ptr(0)->local_patch(gid);
-      auto pl = legacy.hierarchy.level_ptr(0)->local_patch(gid);
-      for (int which : {compiled.var, compiled.var2}) {
-        auto& cc = pc->typed_data<CudaData>(which);
-        auto& cl = pl->typed_data<CudaData>(which);
-        for (int k = 0; k < cc.components(); ++k) {
-          const auto a = cc.component(k).download_plane();
-          const auto b = cl.component(k).download_plane();
-          ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
-                    0)
-              << "centering " << static_cast<int>(centering) << " patch "
-              << gid << " var " << which << " comp " << k;
+      f.fill(*level0->local_patch(gid), [gid](int i, int j) {
+        return std::sin(0.3 * i) * (gid + 1.0) + 0.02 * j;
+      });
+      f.fill(*level0->local_patch(gid), [gid](int i, int j) {
+        return std::cos(0.2 * j) - gid * i;
+      }, f.var2);
+    }
+    RefineAlgorithm alg;
+    alg.add(RefineItem{f.var, nullptr});
+    alg.add(RefineItem{f.var2, nullptr});
+    auto sched = alg.create_schedule(level0, level0, nullptr,
+                                     f.hierarchy.variables(), f.ctx, nullptr,
+                                     FillMode::kGhostsOnly);
+    sched->fill();
+    EXPECT_EQ(sched->same_level_engine().compiled_executions(), 1u);
+    std::size_t n = 0;
+    for (int gid : {0, 1}) {
+      auto p = level0->local_patch(gid);
+      for (int which : {f.var, f.var2}) {
+        auto& cd = p->typed_data<CudaData>(which);
+        for (int k = 0; k < cd.components(); ++k) {
+          const auto plane = cd.component(k).download_plane();
+          ASSERT_LT(n, want.planes.size());
+          EXPECT_EQ(fnv1a(kFnvOffset, plane.data(),
+                          plane.size() * sizeof(double)),
+                    want.planes[n++])
+              << mesh::centering_name(want.centering) << " patch " << gid
+              << " var " << which << " comp " << k;
         }
       }
     }
+    EXPECT_EQ(n, want.planes.size());
   }
 }
 
@@ -346,7 +375,7 @@ TEST(TransferPlan, RebuiltScheduleRecompilesPlans) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: compiled plans against the legacy path through full steps.
+// End-to-end: compiled plans against recorded values through full steps.
 
 app::SimulationConfig multi_patch_sod() {
   app::SimulationConfig cfg;
@@ -360,72 +389,74 @@ app::SimulationConfig multi_patch_sod() {
   return cfg;
 }
 
-TEST(TransferPlan, BitIdenticalToLegacyAfterTenStepsWithRegrids) {
-  // Ten full steps crossing two regrids: every field of every patch must
-  // match the legacy per-transaction path bit for bit. Regrids rebuild
-  // the schedules, so this also covers plan-cache invalidation: stale
-  // plans on the new hierarchy would corrupt fields or throw.
-  app::SimulationConfig compiled_cfg = multi_patch_sod();
-  compiled_cfg.compiled_transfer = true;
-  app::SimulationConfig legacy_cfg = multi_patch_sod();
-  legacy_cfg.compiled_transfer = false;
+/// One patch of the ten-step recording (see transfer_plan_digests.inc).
+struct RecordedPatch {
+  int level;
+  int global_id;
+  int box[4];  ///< lower i, lower j, upper i, upper j
+  std::vector<std::uint64_t> digests;  ///< data id, component, depth
+};
 
-  app::Simulation compiled(compiled_cfg, nullptr);
-  app::Simulation legacy(legacy_cfg, nullptr);
-  compiled.initialize();
-  legacy.initialize();
-  compiled.run(10);
-  legacy.run(10);
+TEST(TransferPlan, TenStepsWithRegridsMatchRecordedDigests) {
+  // Ten full steps crossing two regrids: every interior field of every
+  // patch must hash to the value recorded from the per-transaction
+  // transfer path, and the totals must match it bit for bit. Regrids
+  // rebuild the schedules, so this also covers plan-cache invalidation:
+  // stale plans on the new hierarchy would corrupt fields or throw.
+  const RecordedPatch recorded[] = {
+#include "transfer_plan_digests.inc"
+  };
+  app::Simulation sim(multi_patch_sod(), nullptr);
+  sim.initialize();
+  sim.run(10);
 
-  ASSERT_EQ(compiled.hierarchy().num_levels(), legacy.hierarchy().num_levels());
-  ASSERT_DOUBLE_EQ(compiled.last_dt(), legacy.last_dt());
-  int patches_checked = 0;
-  for (int l = 0; l < compiled.hierarchy().num_levels(); ++l) {
-    hier::PatchLevel& lc = compiled.hierarchy().level(l);
-    hier::PatchLevel& ll = legacy.hierarchy().level(l);
-    ASSERT_EQ(lc.patch_count(), ll.patch_count());
-    for (const auto& pc : lc.local_patches()) {
-      const auto pl = ll.local_patch(pc->global_id());
-      ASSERT_NE(pl, nullptr);
-      ASSERT_EQ(pc->box(), pl->box());
-      ++patches_checked;
-      for (int id = 0; id < pc->data_count(); ++id) {
-        const auto& dc = pc->typed_data<CudaData>(id);
-        const auto& dl = pl->typed_data<CudaData>(id);
+  ASSERT_EQ(sim.hierarchy().num_levels(), 3);
+  EXPECT_EQ(bits_of(sim.last_dt()), 0x3f5ec8be6541df34ull);
+  std::size_t row = 0;
+  for (int l = 0; l < sim.hierarchy().num_levels(); ++l) {
+    for (const auto& p : sim.hierarchy().level(l).local_patches()) {
+      ASSERT_LT(row, std::size(recorded));
+      const RecordedPatch& want = recorded[row++];
+      ASSERT_EQ(l, want.level);
+      ASSERT_EQ(p->global_id(), want.global_id) << "level " << l;
+      ASSERT_EQ(p->box(), Box(want.box[0], want.box[1], want.box[2],
+                              want.box[3]))
+          << "level " << l << " patch " << want.global_id;
+      std::size_t n = 0;
+      for (int id = 0; id < p->data_count(); ++id) {
+        const auto& cd = p->typed_data<CudaData>(id);
         const Centering centering =
-            compiled.hierarchy().variables().variable(id).centering;
-        for (int k = 0; k < dc.components(); ++k) {
-          // Compare the patch interior in the component's index space:
-          // every stage rewrites it each step. (Ghost cells of
-          // non-communicated fields keep whatever the raw allocation
-          // held, which is not part of the bit-exactness contract.)
+            sim.hierarchy().variables().variable(id).centering;
+        for (int k = 0; k < cd.components(); ++k) {
+          // The patch interior in the component's index space: every
+          // stage rewrites it each step. (Ghost cells of non-communicated
+          // fields keep whatever the raw allocation held.)
           const Box region = mesh::to_centering(
-              pc->box(), mesh::component_centering(centering, k));
-          for (int d = 0; d < dc.component(k).depth(); ++d) {
-            const util::View vc = dc.device_view(k, d);
-            const util::View vl = dl.device_view(k, d);
-            std::int64_t mismatches = 0;
+              p->box(), mesh::component_centering(centering, k));
+          for (int d = 0; d < cd.component(k).depth(); ++d) {
+            const util::View v = cd.device_view(k, d);
+            std::uint64_t h = kFnvOffset;
             for (int j = region.lower().j; j <= region.upper().j; ++j) {
               for (int i = region.lower().i; i <= region.upper().i; ++i) {
-                const double a = vc(i, j);
-                const double b = vl(i, j);
-                mismatches += std::memcmp(&a, &b, sizeof(double)) != 0;
+                const double x = v(i, j);
+                h = fnv1a(h, &x, sizeof x);
               }
             }
-            ASSERT_EQ(mismatches, 0)
-                << "level " << l << " patch " << pc->global_id() << " var "
+            ASSERT_LT(n, want.digests.size());
+            EXPECT_EQ(h, want.digests[n++])
+                << "level " << l << " patch " << want.global_id << " var "
                 << id << " comp " << k << " depth " << d;
           }
         }
       }
+      EXPECT_EQ(n, want.digests.size());
     }
   }
-  EXPECT_GT(patches_checked, 3);
-  const auto sc = compiled.composite_summary();
-  const auto sl = legacy.composite_summary();
-  EXPECT_DOUBLE_EQ(sc.mass, sl.mass);
-  EXPECT_DOUBLE_EQ(sc.internal_energy, sl.internal_energy);
-  EXPECT_DOUBLE_EQ(sc.kinetic_energy, sl.kinetic_energy);
+  EXPECT_EQ(row, std::size(recorded));
+  const auto s = sim.composite_summary();
+  EXPECT_EQ(bits_of(s.mass), 0x3fe2001106a6266dull);
+  EXPECT_EQ(bits_of(s.internal_energy), 0x3ff5e410bfa473e4ull);
+  EXPECT_EQ(bits_of(s.kinetic_energy), 0x3f7a0476e39ed4ffull);
 }
 
 TEST(TransferPlan, StepLaunchBudgetOn512SodWithSmallPatches) {
@@ -434,7 +465,7 @@ TEST(TransferPlan, StepLaunchBudgetOn512SodWithSmallPatches) {
   // from O(transactions) (thousands) to O(messages + 1) per exchange —
   // serially: zero pack/unpack launches and at most one local-copy
   // launch per engine execution, clipped-plan fusion notwithstanding.
-  auto run = [](bool compiled_path) {
+  const auto compiled = [] {
     app::SimulationConfig cfg;
     cfg.problem = "sod";
     cfg.nx = 512;
@@ -443,7 +474,6 @@ TEST(TransferPlan, StepLaunchBudgetOn512SodWithSmallPatches) {
     cfg.regrid_interval = 0;  // isolate the per-step budget
     cfg.max_patch_cells = 64 * 64;
     cfg.min_patch_size = 8;
-    cfg.compiled_transfer = compiled_path;
     app::Simulation sim(cfg, nullptr);
     sim.initialize();
     sim.step();
@@ -462,9 +492,7 @@ TEST(TransferPlan, StepLaunchBudgetOn512SodWithSmallPatches) {
       c.patches += sim.hierarchy().level(l).patch_count();
     }
     return c;
-  };
-  const auto compiled = run(true);
-  const auto legacy = run(false);
+  }();
   ASSERT_GT(compiled.patches, 30u) << "config must produce many patches";
   // Serial: no messages, so no pack/unpack launches at all.
   EXPECT_EQ(compiled.pack, 0u);
@@ -475,9 +503,60 @@ TEST(TransferPlan, StepLaunchBudgetOn512SodWithSmallPatches) {
   // where node/side seam reads alias writes.
   EXPECT_LE(compiled.copy, 2u * (7u * 3u * 2u + 2u));
   EXPECT_GT(compiled.copy, 0u);
-  // The legacy path pays one launch per (transaction, component, box):
-  // orders of magnitude more on a many-patch hierarchy.
-  EXPECT_GT(legacy.copy, 100u * compiled.copy);
+}
+
+TEST(TransferPlan, EndpointsOnTwoDevicesWithoutTopologyThrow) {
+  // Patches on two devices of one rank exchange through peer-link copies,
+  // which only the rank's topology can charge. A context without one must
+  // reject the exchange, naming the schedule, instead of moving the data
+  // some other way.
+  vgpu::SimClock clock;
+  vgpu::TopologySpec spec;
+  spec.device_count = 2;
+  vgpu::Topology topo(spec, vgpu::tesla_k20x(), &clock);
+  PatchHierarchy hierarchy(
+      mesh::GridGeometry(Box(0, 0, 15, 7), {0.0, 0.0}, {2.0, 1.0}), 1,
+      IntVector(2, 2), 0, 1);
+  const int var = hierarchy.variables().register_variable(
+      hier::Variable{"u", Centering::kCell, 1, IntVector(2, 2)},
+      std::make_shared<pdat::cuda::CudaDataFactory>(
+          topo.device(0), Centering::kCell, IntVector(2, 2), 1));
+  const std::vector<GlobalPatch> l0 = {{Box(0, 0, 7, 7), 0, 0, 0},
+                                       {Box(8, 0, 15, 7), 0, 1, 1}};
+  auto level0 = std::make_shared<PatchLevel>(0, IntVector(1, 1),
+                                             IntVector(1, 1), l0, 0,
+                                             hierarchy.geometry());
+  level0->allocate_data(hierarchy.variables(), &topo);
+  hierarchy.set_level(0, level0);
+
+  ParallelContext ctx;
+  RefineAlgorithm alg;
+  alg.add(RefineItem{var, nullptr});
+  auto sched = alg.create_schedule(level0, level0, nullptr,
+                                   hierarchy.variables(), ctx, nullptr,
+                                   FillMode::kGhostsOnly);
+  const std::string tag =
+      "tag " + std::to_string(sched->same_level_engine().tag());
+  try {
+    sched->fill();
+    FAIL() << "cross-device exchange ran without a topology";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(tag), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sched->same_level_engine().compiled_executions(), 0u);
+
+  // The same exchange with the topology runs the compiled plans and
+  // moves data over the peer link.
+  ctx.topology = &topo;
+  auto with_topology = alg.create_schedule(level0, level0, nullptr,
+                                           hierarchy.variables(), ctx,
+                                           nullptr, FillMode::kGhostsOnly);
+  with_topology->fill();
+  EXPECT_EQ(with_topology->same_level_engine().compiled_executions(), 1u);
+  EXPECT_GT(topo.device(0).transfers().peer_count +
+                topo.device(1).transfers().peer_count,
+            0u);
 }
 
 }  // namespace
