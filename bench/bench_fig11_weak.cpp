@@ -147,10 +147,12 @@ Components extrapolate(const Components& base, int base_nodes, int nodes,
   c.timestep += 2.0 * extra_depth * m.network.message_time(sizeof(double));
   // Regrid, amortised per step over the regrid interval:
   //  (a) the tag gather-broadcast tree over the compressed payload;
-  //  (b) the host-side mesh-management work over the replicated global
-  //      metadata, which grows with the global patch count — this is the
-  //      SAMRAI scaling term that makes regridding the paper's largest
-  //      non-hydro component at 4,096 nodes.
+  //  (b) a fitted 0.35 per tree level on the rest of the measured regrid
+  //      cost. Its terms grow differently: the box-tree schedule queries
+  //      deepen with log2 of the global patch count, the trees' builds
+  //      grow as N log N over the replicated metadata, and clustering
+  //      charges passes over the whole domain's gathered tag bitmap,
+  //      which grows with the node count itself.
   c.regrid += 2.0 * extra_depth * m.network.message_time(
                   static_cast<std::uint64_t>(tag_bytes_per_rank)) / 10.0;
   c.regrid *= 1.0 + 0.35 * extra_depth;
@@ -216,15 +218,17 @@ int main() {
       c = extrapolate(largest_real, largest_real_nodes, nodes, m, tag_bytes);
       cells = largest_cells / largest_real_nodes * nodes;
       // Project the sync/overlap step times from the analytic model too,
-      // so the JSON trajectory is usable at every node count (the rows
-      // used to carry hard zeros): the synchronous step grows by the
-      // extrapolated collective terms; the hidden time stays the
-      // largest real run's — halo volume per node is constant under
-      // weak scaling and the deepening collectives do not overlap.
-      times.sync_s =
-          largest_times.sync_s + (c.total() - largest_real.total());
+      // so the JSON trajectory is usable at every node count: both steps
+      // grow by the extrapolated terms over the largest real run's. The
+      // hidden time stays the largest real run's — halo volume per node
+      // is constant under weak scaling and the deepening collectives do
+      // not overlap — so a projected row never beats a measured one.
+      // (`saved` is gross hidden time, larger than the net sync - async
+      // gain, so sync - saved would undercut the measured async step.)
+      const double growth = c.total() - largest_real.total();
+      times.sync_s = largest_times.sync_s + growth;
+      times.async_s = largest_times.async_s + growth;
       times.saved_s = largest_times.saved_s;
-      times.async_s = times.sync_s - times.saved_s;
       modeled = true;
     }
     // Weak-scaling grind time: per-step component seconds of the slowest
@@ -276,11 +280,21 @@ int main() {
       "the analytic grind model):\n");
   ramr::perf::Table o({8, 14, 14, 14});
   o.header({"nodes", "sync s/step", "async s/step", "saved s/step"});
+  double prev_async = 0.0;
   for (const JsonRow& r : rows) {
     o.row({ramr::perf::Table::count(r.nodes) + (r.modeled ? "*" : ""),
            ramr::perf::Table::sci(r.times.sync_s),
            ramr::perf::Table::sci(r.times.async_s),
            ramr::perf::Table::sci(r.times.saved_s)});
+    // Hard check on every row: under weak scaling the overlapped step
+    // never gets cheaper with more nodes.
+    if (r.times.async_s < prev_async) {
+      std::printf("FAIL: async step drops to %.3e at %d nodes (%.3e "
+                  "before)\n",
+                  r.times.async_s, r.nodes, prev_async);
+      return 1;
+    }
+    prev_async = r.times.async_s;
     if (r.modeled) {
       continue;
     }

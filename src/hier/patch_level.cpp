@@ -18,7 +18,8 @@ PatchLevel::PatchLevel(int level_number, mesh::IntVector ratio_to_coarser,
   RAMR_REQUIRE(ratio_to_coarser.all_gt(mesh::IntVector::zero()) &&
                    ratio_to_zero.all_gt(mesh::IntVector::zero()),
                "refinement ratios must be positive");
-  for (const GlobalPatch& gp : global_) {
+  for (std::size_t n = 0; n < global_.size(); ++n) {
+    const GlobalPatch& gp = global_[n];
     RAMR_REQUIRE(!gp.box.empty(), "empty patch box on level " << number_);
     RAMR_REQUIRE(domain_box_.contains(gp.box),
                  "patch " << gp.box << " outside level domain " << domain_box_);
@@ -27,6 +28,7 @@ PatchLevel::PatchLevel(int level_number, mesh::IntVector ratio_to_coarser,
       auto patch = std::make_shared<Patch>(gp.box, number_, gp.global_id,
                                            gp.owner_rank, gp.device);
       local_.push_back(patch);
+      local_index_.push_back(static_cast<int>(n));
       RAMR_REQUIRE(local_by_id_.emplace(gp.global_id, patch).second,
                    "duplicate global patch id " << gp.global_id);
     }
@@ -39,6 +41,21 @@ std::int64_t PatchLevel::local_cells() const {
     total += p->box().size();
   }
   return total;
+}
+
+const mesh::BoxTree& PatchLevel::box_tree(mesh::BoxTree::Work* work) const {
+  std::call_once(tree_once_, [&] {
+    std::vector<mesh::Box> boxes;
+    boxes.reserve(global_.size());
+    for (const GlobalPatch& gp : global_) {
+      boxes.push_back(gp.box);
+    }
+    tree_ = mesh::BoxTree(std::move(boxes));
+    if (work != nullptr) {
+      work->build += tree_.build_work();
+    }
+  });
+  return tree_;
 }
 
 std::shared_ptr<Patch> PatchLevel::local_patch(int global_id) const {

@@ -9,10 +9,12 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "hier/patch.hpp"
 #include "mesh/box_list.hpp"
+#include "mesh/box_tree.hpp"
 #include "mesh/grid_geometry.hpp"
 
 namespace ramr::vgpu {
@@ -69,6 +71,14 @@ class PatchLevel {
   /// The local Patch with the given global id (null when remote).
   std::shared_ptr<Patch> local_patch(int global_id) const;
 
+  /// Indices into global_patches() of the local patches, ascending.
+  const std::vector<int>& local_indices() const { return local_index_; }
+
+  /// Box tree over the global patch boxes in metadata order (query hits
+  /// index global_patches()). Built on first use; the call that builds it
+  /// adds the build's work to `*work` when given.
+  const mesh::BoxTree& box_tree(mesh::BoxTree::Work* work = nullptr) const;
+
   /// Allocates data for every local patch. With a topology, each patch's
   /// data goes to its assigned device (GlobalPatch::device); without one,
   /// every factory uses its default device.
@@ -87,7 +97,10 @@ class PatchLevel {
   mesh::Box domain_box_;
   std::array<double, 2> dx_;
   std::vector<std::shared_ptr<Patch>> local_;
+  std::vector<int> local_index_;
   std::map<int, std::shared_ptr<Patch>> local_by_id_;
+  mutable std::once_flag tree_once_;
+  mutable mesh::BoxTree tree_;
 };
 
 }  // namespace ramr::hier

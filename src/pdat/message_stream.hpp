@@ -27,13 +27,6 @@ class MessageStream {
   std::size_t read_position() const { return read_pos_; }
   bool fully_consumed() const { return read_pos_ == buffer_.size(); }
 
-  /// Moves the buffer out and resets the stream to a fresh, empty state.
-  std::vector<std::byte> release() {
-    read_pos_ = 0;
-    reserved_ = false;
-    return std::move(buffer_);
-  }
-
   /// Preallocates room for `bytes` more bytes. Pack paths that hold
   /// pointers returned by grow() across further growth MUST reserve the
   /// exact total first (the planned message size): a reallocation
@@ -64,10 +57,6 @@ class MessageStream {
     write_bytes(&value, sizeof(T));
   }
 
-  void write_doubles(const double* src, std::size_t count) {
-    write_bytes(src, count * sizeof(double));
-  }
-
   void read_bytes(void* dst, std::size_t bytes) {
     RAMR_REQUIRE(read_pos_ + bytes <= buffer_.size(),
                  "MessageStream underflow: need " << bytes << " at "
@@ -82,10 +71,6 @@ class MessageStream {
     T value{};
     read_bytes(&value, sizeof(T));
     return value;
-  }
-
-  void read_doubles(double* dst, std::size_t count) {
-    read_bytes(dst, count * sizeof(double));
   }
 
   /// Returns a pointer to `bytes` bytes at the read position and advances

@@ -49,41 +49,60 @@ std::unique_ptr<CoarsenSchedule> CoarsenAlgorithm::create_schedule(
   // Overlapping node-seam contributions must land identically on every
   // rank layout, so the plan order (fine x coarse metadata order, items
   // within) is the apply order on every rank — the engine guarantees it.
-  // Edges between two other ranks are skipped: the retained subset keeps
-  // its relative order, which is all a peer message depends on.
+  // Only edges touching this rank are planned, found from the local side:
+  // each local fine patch queries the coarse tree with its coarsened box,
+  // and, when the fine level has remote patches, each local coarse patch
+  // queries the fine tree with its refined box for edges from a remote
+  // fine patch. Sorted in (fine, coarse) metadata order, the retained
+  // subset keeps its relative order, which is all a peer message depends
+  // on.
   const int me = ctx.my_rank;
   const IntVector ratio = fine_level->ratio_to_coarser();
-  std::int64_t global_edges = 0;
-  for (const GlobalPatch& f : fine_level->global_patches()) {
-    const Box covered = f.box.coarsen(ratio);
-    for (const GlobalPatch& c : coarse_level->global_patches()) {
-      const Box region = covered.intersect(c.box);
-      if (region.empty()) {
-        continue;
-      }
-      ++global_edges;
-      if (f.owner_rank != me && c.owner_rank != me) {
-        continue;
-      }
-      for (std::size_t n = 0; n < items_.size(); ++n) {
-        pdat::BoxOverlap ov = pdat::overlap_for_region(
-            db.variable(items_[n].var_id).centering, BoxList(region));
-        if (ov.empty()) {
-          continue;
+  const auto& fine = fine_level->global_patches();
+  const auto& coarse = coarse_level->global_patches();
+  mesh::BoxTree::Work work;
+  std::vector<std::pair<int, int>> edges;
+  std::vector<int> hits;
+  const mesh::BoxTree& coarse_tree = coarse_level->box_tree(&work);
+  for (const int f : fine_level->local_indices()) {
+    coarse_tree.query(fine[f].box.coarsen(ratio), hits, work);
+    for (const int c : hits) {
+      edges.emplace_back(f, c);
+    }
+  }
+  if (fine_level->local_indices().size() < fine.size()) {
+    const mesh::BoxTree& fine_tree = fine_level->box_tree(&work);
+    for (const int c : coarse_level->local_indices()) {
+      fine_tree.query(coarse[c].box.refine(ratio), hits, work);
+      for (const int f : hits) {
+        if (fine[f].owner_rank != me) {
+          edges.emplace_back(f, c);
         }
-        sched->xacts_.push_back(CoarsenSchedule::Xact{f.global_id, c.global_id, n, region,
-                                     std::move(ov)});
-        sched->engine_.add(Transaction{f.owner_rank, c.owner_rank,
-                                       sched->xacts_.size() - 1});
       }
     }
   }
+  std::sort(edges.begin(), edges.end());
+  for (const auto& [fi, ci] : edges) {
+    const GlobalPatch& f = fine[fi];
+    const GlobalPatch& c = coarse[ci];
+    const Box region = f.box.coarsen(ratio).intersect(c.box);
+    for (std::size_t n = 0; n < items_.size(); ++n) {
+      pdat::BoxOverlap ov = pdat::overlap_for_region(
+          db.variable(items_[n].var_id).centering, BoxList(region));
+      if (ov.empty()) {
+        continue;
+      }
+      sched->xacts_.push_back(CoarsenSchedule::Xact{f.global_id, c.global_id,
+                                                    n, region, std::move(ov)});
+      sched->engine_.add(Transaction{f.owner_rank, c.owner_rank,
+                                     sched->xacts_.size() - 1});
+    }
+  }
   sched->engine_.finalize(*sched);
-  // The box-calculus cost of the replicated plan is identical on every
-  // rank (global_edges, not the locally retained transaction count).
-  ctx.charge_host_ops(4.0 * static_cast<double>(fine_level->patch_count()) *
-                          coarse_level->patch_count() +
-                      16.0 * static_cast<double>(global_edges));
+  // Host cost: the counted tree work plus the box calculus of the edges
+  // planned here.
+  ctx.charge_host_ops(4.0 * static_cast<double>(work.total()) +
+                      16.0 * static_cast<double>(edges.size()));
   return sched;
 }
 

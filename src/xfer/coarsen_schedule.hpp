@@ -61,6 +61,18 @@ class CoarsenSchedule : private TransferDelegate {
   /// Engine exchange of one sync, for plan-level observability in tests.
   const TransferSchedule& transfer_engine() const { return engine_; }
 
+  /// One (fine patch -> coarse patch, variable) contribution.
+  struct Xact {
+    int fine_gid;
+    int coarse_gid;
+    std::size_t item;         ///< index into items_
+    mesh::Box coarse_cells;   ///< coarse cell region covered by the fine patch
+    pdat::BoxOverlap overlap;
+  };
+
+  /// The contributions this rank retained, in plan order (tests).
+  const std::vector<Xact>& transactions() const { return xacts_; }
+
   /// The level objects the plan was built from.
   const std::shared_ptr<hier::PatchLevel>& coarse_level() const {
     return coarse_level_;
@@ -72,15 +84,6 @@ class CoarsenSchedule : private TransferDelegate {
  private:
   friend class CoarsenAlgorithm;
   CoarsenSchedule() = default;
-
-  /// One (fine patch -> coarse patch, variable) contribution.
-  struct Xact {
-    int fine_gid;
-    int coarse_gid;
-    std::size_t item;         ///< index into items_
-    mesh::Box coarse_cells;   ///< coarse cell region covered by the fine patch
-    pdat::BoxOverlap overlap;
-  };
 
   // TransferDelegate (shared engine: geometry at compile, endpoints at
   // execute).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -114,19 +115,19 @@ std::unique_ptr<RefineSchedule> RefineAlgorithm::create_schedule(
   const IntVector ghosts = max_ghosts(items_, db);
   const IntVector stencil = max_stencil(items_);
   const IntVector coarse_avail = min_op_ghosts(items_, db);
-  const bool any_op =
+  // Coarse interpolation needs a coarse level and an interpolating item.
+  const bool gather =
+      coarse_level != nullptr &&
       std::any_of(items_.begin(), items_.end(),
                   [](const RefineItem& i) { return i.op != nullptr; });
   const Box dst_domain = dst_level->domain_box();
 
   // Expands one planned patch edge into per-variable transactions, all
   // carried by the same aggregated peer message. Only edges touching
-  // this rank are recorded: the box calculus must walk the full
-  // replicated metadata (the disjoint source assignment depends on every
-  // earlier source), but a transaction between two other ranks is never
-  // packed, applied or counted here, so storing it would make plan
-  // memory and the per-fill scan scale with the global mesh instead of
-  // this rank's partition. Relative plan order of the retained subset is
+  // this rank are recorded: a planned destination's disjoint source
+  // assignment walks every source feeding it, other ranks' included, but
+  // a transaction between two other ranks is never packed, applied or
+  // counted here. Relative plan order of the retained subset is
   // preserved, which is all both endpoints of a message rely on.
   const int me = ctx.my_rank;
   std::int64_t overlap_pieces = 0;
@@ -199,8 +200,82 @@ std::unique_ptr<RefineSchedule> RefineAlgorithm::create_schedule(
     }
   };
 
-  for (const GlobalPatch& d : dst_level->global_patches()) {
+  // Destinations this rank plans: its own, plus every remote destination
+  // a local source or coarse patch feeds, found by querying the
+  // destination tree with each local patch grown by the reach of its
+  // contribution (ghost width on the same level; ghost availability,
+  // stencil and the fine ghost width through the coarse level). On a
+  // destination level of one leaf every destination is a candidate
+  // instead: querying it would test every destination for every local
+  // patch, while its candidates' own queries cost what the full
+  // enumeration's search did. The candidates are walked in metadata
+  // order, each planned from the same-level and coarse hits of its own
+  // box, walked in metadata order: the hits are exactly the patches the
+  // full enumeration finds intersecting, so every retained transaction,
+  // its overlap and its plan order are the full enumeration's.
+  mesh::BoxTree::Work work;
+  const IntVector ratio = dst_level->ratio_to_coarser();
+  std::vector<int> dsts = dst_level->local_indices();
+  if (dsts.size() < dst_level->patch_count()) {
+    const mesh::BoxTree& dst_tree = dst_level->box_tree(&work);
+    if (dst_tree.size() <= mesh::BoxTree::kLeafSize) {
+      dsts.resize(dst_tree.size());
+      std::iota(dsts.begin(), dsts.end(), 0);
+    } else {
+      std::vector<int> fed;
+      const auto add_fed = [&](const Box& reach) {
+        dst_tree.query(reach, fed, work);
+        dsts.insert(dsts.end(), fed.begin(), fed.end());
+      };
+      if (src_level != nullptr) {
+        for (const auto& s : src_level->local_patches()) {
+          add_fed(s->box().grow(ghosts));
+        }
+      }
+      if (gather) {
+        for (const auto& c : coarse_level->local_patches()) {
+          add_fed(c->box().grow(coarse_avail + stencil).refine(ratio).grow(
+              ghosts));
+        }
+      }
+      std::sort(dsts.begin(), dsts.end());
+      dsts.erase(std::unique(dsts.begin(), dsts.end()), dsts.end());
+    }
+  }
+
+  const mesh::BoxTree* src_tree =
+      src_level != nullptr ? &src_level->box_tree(&work) : nullptr;
+  const mesh::BoxTree* coarse_tree =
+      gather ? &coarse_level->box_tree(&work) : nullptr;
+  std::vector<int> hits;
+  std::vector<int> coarse_hits;
+  const auto any_local = [&](const PatchLevel& level,
+                             const std::vector<int>& found) {
+    return std::any_of(found.begin(), found.end(), [&](int h) {
+      return level.global_patches()[h].owner_rank == me;
+    });
+  };
+  for (const int index : dsts) {
+    const GlobalPatch& d = dst_level->global_patches()[index];
     const Box fill_box = d.box.grow(ghosts);
+    // One same-level query over the ghost box and, for interpolation,
+    // one coarse query over the scratch region grown by the coarse ghost
+    // availability, which serves both gather passes.
+    if (src_level != nullptr) {
+      src_tree->query(fill_box, hits, work);
+    }
+    Box scratch_cells;
+    if (gather) {
+      scratch_cells = fill_box.coarsen(ratio).grow(stencil).intersect(
+          coarse_level->domain_box().grow(coarse_avail));
+      coarse_tree->query(scratch_cells.grow(coarse_avail), coarse_hits, work);
+    }
+    // A destination no local patch takes part in retains nothing.
+    if (d.owner_rank != me &&
+        !(src_level != nullptr && any_local(*src_level, hits)) &&
+        !(gather && any_local(*coarse_level, coarse_hits))) {
+      continue;
+    }
     BoxList remaining(fill_box);
     if (mode == FillMode::kGhostsOnly) {
       remaining.remove_intersections(d.box);
@@ -209,7 +284,8 @@ std::unique_ptr<RefineSchedule> RefineAlgorithm::create_schedule(
     // (i) same-level sources, assigned disjointly in metadata order.
     if (src_level != nullptr) {
       const bool same_object = (src_level == dst_level);
-      for (const GlobalPatch& s : src_level->global_patches()) {
+      for (const int h : hits) {
+        const GlobalPatch& s = src_level->global_patches()[h];
         if (same_object && s.global_id == d.global_id) {
           continue;
         }
@@ -229,17 +305,18 @@ std::unique_ptr<RefineSchedule> RefineAlgorithm::create_schedule(
 
     // (ii) coarse interpolation for what is still unfilled inside the
     // domain.
+    if (!gather) {
+      continue;
+    }
     BoxList in_domain = remaining;
     in_domain.intersect(dst_domain);
-    if (coarse_level != nullptr && any_op && !in_domain.empty()) {
+    if (!in_domain.empty()) {
       in_domain.coalesce();
       RefineSchedule::CoarseFill cf;
       cf.dst_gid = d.global_id;
       cf.dst_owner = d.owner_rank;
       cf.fine_fill_cells = in_domain;
-      cf.scratch_cells =
-          fill_box.coarsen(dst_level->ratio_to_coarser()).grow(stencil)
-              .intersect(coarse_level->domain_box().grow(coarse_avail));
+      cf.scratch_cells = scratch_cells;
       const std::size_t fill = sched->coarse_fills_.size();
 
       BoxList scratch_remaining(cf.scratch_cells);
@@ -247,7 +324,8 @@ std::unique_ptr<RefineSchedule> RefineAlgorithm::create_schedule(
       // gather engines by add_gather: a cell item's whole interior ships
       // early; a node/side item keeps its depth-0 shell late (the seam
       // lines the coarse exchange rewrites).
-      for (const GlobalPatch& c : coarse_level->global_patches()) {
+      for (const int h : coarse_hits) {
+        const GlobalPatch& c = coarse_level->global_patches()[h];
         if (scratch_remaining.empty()) {
           break;
         }
@@ -264,7 +342,8 @@ std::unique_ptr<RefineSchedule> RefineAlgorithm::create_schedule(
       // for stencils that poke past the domain or patch edges) — never
       // stable before the coarse level's finish, so entirely late (the
       // empty `stable` box routes every item there).
-      for (const GlobalPatch& c : coarse_level->global_patches()) {
+      for (const int h : coarse_hits) {
+        const GlobalPatch& c = coarse_level->global_patches()[h];
         if (scratch_remaining.empty()) {
           break;
         }
@@ -318,17 +397,11 @@ std::unique_ptr<RefineSchedule> RefineAlgorithm::create_schedule(
   sched->coarse_engine_.finalize(*sched);
   sched->coarse_late_engine_.finalize(*sched);
 
-  // Host cost of building the plan: the pairwise box calculus over the
-  // replicated metadata (dst x src patch enumeration plus per-edge box
-  // difference work).
-  double ops = static_cast<double>(dst_level->patch_count()) *
-               (src_level != nullptr ? src_level->patch_count() : 0);
-  if (coarse_level != nullptr) {
-    ops += static_cast<double>(dst_level->patch_count()) *
-           coarse_level->patch_count();
-  }
-  ops += static_cast<double>(overlap_pieces);
-  ctx.charge_host_ops(4.0 * ops);
+  // Host cost of building the plan: the counted tree work (builds,
+  // nodes visited, boxes tested) plus the box-difference work of the
+  // destinations planned here.
+  ctx.charge_host_ops(
+      4.0 * static_cast<double>(work.total() + overlap_pieces));
   return sched;
 }
 

@@ -8,8 +8,10 @@
 //   (iii) physical boundary conditions (application strategy).
 //
 // The schedule is the precomputed communication plan; executing it moves
-// data. All ranks compute identical plans from the replicated level
-// metadata, so matching sends/receives need no negotiation. Execution is
+// data. Each rank plans, from the replicated level metadata, only the
+// destinations it takes part in, found through each level's box tree;
+// sender and receiver derive the same transactions in the same order, so
+// matching sends/receives need no negotiation. Execution is
 // delegated to the shared TransferSchedule engine: planning expands every
 // (edge, variable) pair into a Transaction with a precomputed overlap,
 // and the schedule implements TransferDelegate — describing each
@@ -140,10 +142,6 @@ class RefineSchedule : private TransferDelegate {
     return coarse_level_;
   }
 
- private:
-  friend class RefineAlgorithm;
-  RefineSchedule() = default;
-
   /// One planned (edge, variable) movement with its precomputed overlap.
   struct Xact {
     enum class Kind {
@@ -176,6 +174,15 @@ class RefineSchedule : private TransferDelegate {
     /// boxes own, however the cell-space pieces adjoin.
     mesh::BoxList covered;
   };
+
+  /// The transactions this rank retained, in plan order, and the coarse
+  /// fills their gathers index (plan-level observability in tests).
+  const std::vector<Xact>& transactions() const { return xacts_; }
+  const std::vector<CoarseFill>& coarse_fills() const { return coarse_fills_; }
+
+ private:
+  friend class RefineAlgorithm;
+  RefineSchedule() = default;
 
   // TransferDelegate (shared engine: geometry at compile, endpoints at
   // execute).

@@ -105,17 +105,17 @@ TEST(MessageStream, TypedReadWrite) {
 TEST(MessageStream, UnderflowThrowsWithoutAdvancing) {
   MessageStream ms;
   const double values[3] = {1.0, 2.0, 3.0};
-  ms.write_doubles(values, 3);
+  ms.write_bytes(values, sizeof values);
   EXPECT_FALSE(ms.fully_consumed());
 
   double out[2] = {0.0, 0.0};
-  ms.read_doubles(out, 2);
+  ms.read_bytes(out, sizeof out);
   EXPECT_DOUBLE_EQ(out[1], 2.0);
   EXPECT_FALSE(ms.fully_consumed());
 
   // One double left: a two-double read must throw and leave the read
   // position untouched, so the remaining payload is still consumable.
-  EXPECT_THROW(ms.read_doubles(out, 2), util::Error);
+  EXPECT_THROW(ms.read_bytes(out, sizeof out), util::Error);
   EXPECT_EQ(ms.read_position(), 2 * sizeof(double));
   EXPECT_DOUBLE_EQ(ms.read<double>(), 3.0);
   EXPECT_TRUE(ms.fully_consumed());
@@ -126,7 +126,8 @@ TEST(MessageStream, WrappedBufferTracksConsumption) {
   MessageStream src;
   src.write<std::int64_t>(-9);
   src.write<std::int64_t>(11);
-  MessageStream ms(src.release());
+  MessageStream ms(
+      std::vector<std::byte>(src.data(), src.data() + src.size()));
   EXPECT_FALSE(ms.fully_consumed());
   EXPECT_EQ(ms.read<std::int64_t>(), -9);
   EXPECT_FALSE(ms.fully_consumed());
@@ -152,7 +153,7 @@ TEST(MessageStream, ReserveKeepsGrowPointersStable) {
   std::memcpy(second + 55 * sizeof(double), &tail, sizeof(double));
 
   double out[64];
-  ms.read_doubles(out, 64);
+  ms.read_bytes(out, sizeof out);
   EXPECT_DOUBLE_EQ(out[0], 0.0);
   EXPECT_DOUBLE_EQ(out[7], 3.5);
   EXPECT_DOUBLE_EQ(out[63], 99.0);

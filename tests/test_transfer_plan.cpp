@@ -7,6 +7,7 @@
 // rejection of cross-device endpoints without a topology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -346,6 +347,124 @@ TEST(TransferPlan, SeamReadsSnapshotPreExchangeValues) {
   });
   EXPECT_EQ(dist_left, serial_left);
   EXPECT_EQ(dist_right, serial_right);
+}
+
+TEST(TransferPlan, ClippedSeamsMatchSequentialLastWriterApply) {
+  // Four patches around one corner: a patch's node/side ghost region is
+  // filled from three neighbours whose pieces share seam lines, so some
+  // ghost elements are written by two transactions. The fused plans must
+  // land exactly what applying the transactions one by one in plan order
+  // lands — last writer wins, every value the source's pre-exchange one.
+  // On two ranks a remote (unpacked) write precedes a local one on some
+  // seams and follows it on others, so both clipping directions matter.
+  const Box boxes[4] = {Box(0, 0, 7, 3), Box(8, 0, 15, 3), Box(0, 4, 7, 7),
+                        Box(8, 4, 15, 7)};
+  const int two_rank_owner[4] = {0, 1, 1, 0};
+  const auto value = [](int gid, int i, int j, int k) {
+    return 1000.0 * gid + 10.0 * i + j + 0.5 + 100000.0 * k;
+  };
+  const auto run = [&](Centering centering, int rank, int world,
+                       simmpi::Communicator* comm, std::int64_t* rewritten) {
+    vgpu::Device device{vgpu::tesla_k20x()};
+    PatchHierarchy hierarchy(
+        mesh::GridGeometry(Box(0, 0, 15, 7), {0.0, 0.0}, {2.0, 1.0}), 1,
+        IntVector(2, 2), rank, world);
+    const int var = hierarchy.variables().register_variable(
+        hier::Variable{"u", centering, 1, IntVector(2, 2)},
+        std::make_shared<pdat::cuda::CudaDataFactory>(device, centering,
+                                                      IntVector(2, 2), 1));
+    std::vector<GlobalPatch> meta;
+    for (int gid = 0; gid < 4; ++gid) {
+      meta.push_back({boxes[gid], world > 1 ? two_rank_owner[gid] : 0, gid});
+    }
+    auto level = std::make_shared<PatchLevel>(0, IntVector(1, 1),
+                                              IntVector(1, 1), meta, rank,
+                                              hierarchy.geometry());
+    level->allocate_data(hierarchy.variables());
+    for (const auto& p : level->local_patches()) {
+      auto& cd = p->typed_data<CudaData>(var);
+      for (int k = 0; k < cd.components(); ++k) {
+        const Box ib = cd.component(k).index_box();
+        std::vector<double> plane;
+        for (int j = ib.lower().j; j <= ib.upper().j; ++j) {
+          for (int i = ib.lower().i; i <= ib.upper().i; ++i) {
+            plane.push_back(value(p->global_id(), i, j, k));
+          }
+        }
+        cd.component(k).upload_plane(plane);
+      }
+    }
+    ParallelContext ctx;
+    ctx.my_rank = rank;
+    ctx.world_size = world;
+    ctx.comm = comm;
+    RefineAlgorithm alg;
+    alg.add(RefineItem{var, nullptr});
+    auto sched = alg.create_schedule(level, level, nullptr,
+                                     hierarchy.variables(), ctx, nullptr,
+                                     FillMode::kGhostsOnly);
+    sched->fill();
+
+    for (const auto& p : level->local_patches()) {
+      auto& cd = p->typed_data<CudaData>(var);
+      for (int k = 0; k < cd.components(); ++k) {
+        // Sequential reference: the pre-fill plane, then every
+        // transaction into this patch in plan order, each element taking
+        // the source's pre-exchange value.
+        const Box ib = cd.component(k).index_box();
+        const auto at = [&](int i, int j) {
+          return static_cast<std::size_t>((j - ib.lower().j) * ib.width() +
+                                          (i - ib.lower().i));
+        };
+        std::vector<double> want(static_cast<std::size_t>(ib.size()));
+        std::vector<int> writes(want.size(), 0);
+        for (int j = ib.lower().j; j <= ib.upper().j; ++j) {
+          for (int i = ib.lower().i; i <= ib.upper().i; ++i) {
+            want[at(i, j)] = value(p->global_id(), i, j, k);
+          }
+        }
+        for (const auto& x : sched->transactions()) {
+          if (x.dst_gid != p->global_id()) {
+            continue;
+          }
+          const IntVector shift = x.overlap.src_shift();
+          for (const Box& b : x.overlap.component(k).boxes()) {
+            for (int j = b.lower().j; j <= b.upper().j; ++j) {
+              for (int i = b.lower().i; i <= b.upper().i; ++i) {
+                want[at(i, j)] = value(x.src_gid, i - shift.i, j - shift.j, k);
+                ++writes[at(i, j)];
+              }
+            }
+          }
+        }
+        *rewritten += std::count_if(writes.begin(), writes.end(),
+                                    [](int w) { return w > 1; });
+        const auto got = cd.component(k).download_plane();
+        ASSERT_EQ(got.size(), want.size());
+        for (int j = ib.lower().j; j <= ib.upper().j; ++j) {
+          for (int i = ib.lower().i; i <= ib.upper().i; ++i) {
+            ASSERT_EQ(got[at(i, j)], want[at(i, j)])
+                << mesh::centering_name(centering) << " patch "
+                << p->global_id() << " comp " << k << " at (" << i << ","
+                << j << "), rank " << rank << " of " << world;
+          }
+        }
+      }
+    }
+  };
+  for (const Centering centering : {Centering::kNode, Centering::kSide}) {
+    std::int64_t serial_rewritten = 0;
+    run(centering, 0, 1, nullptr, &serial_rewritten);
+    // The fixture really does write some ghost elements twice.
+    EXPECT_GT(serial_rewritten, 0) << mesh::centering_name(centering);
+
+    std::int64_t rewritten[2] = {0, 0};
+    simmpi::World world(2, simmpi::ideal_network());
+    world.run([&](simmpi::Communicator& comm) {
+      run(centering, comm.rank(), 2, &comm, &rewritten[comm.rank()]);
+    });
+    EXPECT_EQ(rewritten[0] + rewritten[1], serial_rewritten);
+  }
 }
 
 TEST(TransferPlan, RebuiltScheduleRecompilesPlans) {
