@@ -96,13 +96,12 @@ Run run_config(int n, int ranks, const ramr::vgpu::DeviceSpec& spec,
         sim.device().launch_count(ramr::vgpu::LaunchTag::kLocalCopy);
     const double kernel0 = sim.device().kernel_seconds();
     sim.run(steps);
-    // The slowest rank sets the runtime. With async_overlap the rank's
-    // completion time is the timeline makespan (max over its lanes),
-    // not the serial charge sum.
+    // The slowest rank sets the runtime: its timeline completion (max
+    // over its lanes under async_overlap, the one cursor otherwise),
+    // imbalance waits excluded.
     const double total = sim.modeled_seconds();
-    const double saved =
-        sim.timeline() != nullptr ? sim.timeline()->overlap_seconds_saved()
-                                  : 0.0;
+    const ramr::vgpu::Timeline& tl = *sim.timeline();
+    const double saved = tl.named_lanes() ? tl.overlap_seconds_saved() : 0.0;
     const double hydro = sim.clock().component("hydro");
     // Aggregated-transfer diagnostics: with one message per peer per
     // fill, messages/fill approaches the rank's neighbour count, and the
@@ -290,14 +289,16 @@ int main() {
       "split-phase around the ghost-free interior sweep of its consumer\n"
       "stage (interior/rind stage decomposition), wire legs ride the\n"
       "timeline's network lane, and the slowest rank completes at the max\n"
-      "of its lane chains (imbalance waits excluded for comparability with\n"
-      "the busy-only sync column — see docs/async_overlap.md); saved (s)\n"
-      "is that rank's overlap_seconds_saved, saved1w (s) the same under\n"
-      "the single-window (state-exchange-only) ablation. traced (s)\n"
-      "repeats the async run with span tracing on (the observability\n"
-      "block, docs/observability.md): hard-asserted BIT-identical, since\n"
-      "the recorder observes clock charges and never makes one. Fields\n"
-      "are bit-identical in every mode.\n"
+      "of its lane chains. K20x (s), the sync column, runs the same\n"
+      "timeline on one lane: every fill finishes before the next stage,\n"
+      "the sender pays each wire leg and the receiver waits for its\n"
+      "arrival. Both exclude imbalance waits (docs/async_overlap.md);\n"
+      "saved (s) is that rank's overlap_seconds_saved, saved1w (s) the\n"
+      "same under the single-window (state-exchange-only) ablation.\n"
+      "traced (s) repeats the async run with span tracing on (the\n"
+      "observability block, docs/observability.md): hard-asserted\n"
+      "BIT-identical, since the recorder observes clock charges and\n"
+      "never makes one. Fields are bit-identical in every mode.\n"
       "The falloff is the paper's Amdahl effect: boundary exchange and\n"
       "(host-side) regridding do not shrink with per-GPU work.\n"
       "msg/fill counts the slowest rank's aggregated sends per schedule\n"

@@ -109,10 +109,9 @@ Components run_real(int nodes, const ramr::perf::Machine& m,
     const auto& imbal = sim.gridding_stats().imbalance_history;
     c.imbalance = imbal.empty() ? 1.0 : imbal.back();
     const double step = sim.modeled_seconds() / kSteps;
+    const ramr::vgpu::Timeline& tl = *sim.timeline();
     const double saved =
-        sim.timeline() != nullptr
-            ? sim.timeline()->overlap_seconds_saved() / kSteps
-            : 0.0;
+        tl.named_lanes() ? tl.overlap_seconds_saved() / kSteps : 0.0;
     const std::int64_t total_cells = sim.hierarchy().total_cells();
     std::lock_guard<std::mutex> lock(mu);
     if (c.total() > worst.total()) {

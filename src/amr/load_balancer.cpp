@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
+#include <tuple>
 
 #include "util/error.hpp"
 
@@ -70,62 +70,34 @@ std::vector<GlobalPatch> balance_boxes(const std::vector<Box>& boxes,
   std::vector<GlobalPatch> out;
   out.reserve(chopped.size());
 
-  if (params.method != BalanceMethod::kGreedy) {
-    // kMorton and kMeasured share the curve partitioning: measurement
-    // only changes the patch->device mapping (assign_devices), not the
-    // globally replicated rank decomposition.
-    std::sort(chopped.begin(), chopped.end(), [](const Box& a, const Box& b) {
-      const std::uint64_t ma = morton_code(a);
-      const std::uint64_t mb = morton_code(b);
-      if (ma != mb) {
-        return ma < mb;
-      }
-      // Total order for identical codes.
-      return std::make_tuple(a.lower().i, a.lower().j, a.upper().i,
-                             a.upper().j) <
-             std::make_tuple(b.lower().i, b.lower().j, b.upper().i,
-                             b.upper().j);
-    });
-    const std::int64_t total = std::accumulate(
-        chopped.begin(), chopped.end(), std::int64_t{0},
-        [](std::int64_t acc, const Box& b) { return acc + b.size(); });
-    // Prefix-sum partitioning along the curve.
-    std::int64_t seen = 0;
-    int gid = 0;
-    for (const Box& b : chopped) {
-      const std::int64_t midpoint = seen + b.size() / 2;
-      int rank = static_cast<int>((midpoint * world_size) / std::max<std::int64_t>(total, 1));
-      rank = std::min(rank, world_size - 1);
-      out.push_back(GlobalPatch{b, rank, gid++});
-      seen += b.size();
+  // kMorton and kMeasured share the curve partitioning: measurement only
+  // changes the patch->device mapping (assign_devices), not the globally
+  // replicated rank decomposition.
+  std::sort(chopped.begin(), chopped.end(), [](const Box& a, const Box& b) {
+    const std::uint64_t ma = morton_code(a);
+    const std::uint64_t mb = morton_code(b);
+    if (ma != mb) {
+      return ma < mb;
     }
-  } else {
-    // Greedy: largest box to the least-loaded rank.
-    std::sort(chopped.begin(), chopped.end(), [](const Box& a, const Box& b) {
-      if (a.size() != b.size()) {
-        return a.size() > b.size();
-      }
-      return std::make_tuple(a.lower().i, a.lower().j, a.upper().i, a.upper().j) <
-             std::make_tuple(b.lower().i, b.lower().j, b.upper().i, b.upper().j);
-    });
-    using Load = std::pair<std::int64_t, int>;  // (cells, rank)
-    std::priority_queue<Load, std::vector<Load>, std::greater<Load>> heap;
-    for (int r = 0; r < world_size; ++r) {
-      heap.emplace(0, r);
-    }
-    int gid = 0;
-    for (const Box& b : chopped) {
-      auto [load, rank] = heap.top();
-      heap.pop();
-      out.push_back(GlobalPatch{b, rank, gid++});
-      heap.emplace(load + b.size(), rank);
-    }
-    // Restore a deterministic patch order (by global id is already true;
-    // sort by box for stable downstream schedules).
-    std::sort(out.begin(), out.end(),
-              [](const GlobalPatch& a, const GlobalPatch& b) {
-                return a.global_id < b.global_id;
-              });
+    // Total order for identical codes.
+    return std::make_tuple(a.lower().i, a.lower().j, a.upper().i,
+                           a.upper().j) <
+           std::make_tuple(b.lower().i, b.lower().j, b.upper().i,
+                           b.upper().j);
+  });
+  const std::int64_t total = std::accumulate(
+      chopped.begin(), chopped.end(), std::int64_t{0},
+      [](std::int64_t acc, const Box& b) { return acc + b.size(); });
+  // Prefix-sum partitioning along the curve.
+  std::int64_t seen = 0;
+  int gid = 0;
+  for (const Box& b : chopped) {
+    const std::int64_t midpoint = seen + b.size() / 2;
+    int rank = static_cast<int>((midpoint * world_size) /
+                                std::max<std::int64_t>(total, 1));
+    rank = std::min(rank, world_size - 1);
+    out.push_back(GlobalPatch{b, rank, gid++});
+    seen += b.size();
   }
   return out;
 }

@@ -2,9 +2,8 @@
 //
 // Patches are the unit of work (paper §II: "work can be easily shared
 // between multiple processes"). Boxes larger than max_patch_cells are
-// chopped first; assignment either follows a Morton (Z-order) curve with
-// prefix-sum partitioning (locality preserving, the default) or a greedy
-// largest-first heap (best balance).
+// chopped first; assignment follows a Morton (Z-order) curve with
+// prefix-sum partitioning (locality preserving).
 #pragma once
 
 #include <cstdint>
@@ -17,7 +16,6 @@ namespace ramr::amr {
 
 enum class BalanceMethod {
   kMorton,
-  kGreedy,
   /// Morton rank partitioning plus measured-cost device assignment:
   /// patch->device placement uses per-device seconds-per-cell rates
   /// observed between regrids (Timeline gpu-lane busy time) instead of

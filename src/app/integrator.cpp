@@ -214,24 +214,24 @@ bool LagrangianEulerianIntegrator::wide_overlap_active() const {
   // no remote peers there is no wire to buy back, so a 1-rank world
   // keeps the single-window shape (local-copy time already hides behind
   // EOS at zero extra cost). Interior/rind parts need the batched route.
-  return ctx_->timeline != nullptr && ctx_->wide_overlap && li_->batched() &&
-         !ctx_->is_serial();
+  return clock_->timeline().named_lanes() && ctx_->wide_overlap &&
+         li_->batched() && !ctx_->is_serial();
 }
 
 double LagrangianEulerianIntegrator::overlap_saved_now() const {
-  return ctx_->timeline != nullptr ? ctx_->timeline->overlap_seconds_saved()
-                                   : 0.0;
+  const vgpu::Timeline& tl = clock_->timeline();
+  return tl.named_lanes() ? tl.overlap_seconds_saved() : 0.0;
 }
 
 double LagrangianEulerianIntegrator::comm_busy_now() const {
   // Comm kernels + wire legs + the two PCIe copy engines: everything a
   // window's exchange occupies off the host lane.
-  vgpu::Timeline* tl = ctx_->timeline;
-  if (tl == nullptr) {
+  vgpu::Timeline& tl = clock_->timeline();
+  if (!tl.named_lanes()) {
     return 0.0;
   }
-  return tl->busy(tl->lane("comm")) + tl->busy(tl->lane("net")) +
-         tl->busy(tl->lane("d2h")) + tl->busy(tl->lane("h2d"));
+  return tl.busy(tl.lane("comm")) + tl.busy(tl.lane("net")) +
+         tl.busy(tl.lane("d2h")) + tl.busy(tl.lane("h2d"));
 }
 
 void LagrangianEulerianIntegrator::fill_window(
@@ -291,7 +291,7 @@ double LagrangianEulerianIntegrator::advance() {
 
   // --- Boundary + EOS + viscosity + timestep --------------------------
   //
-  // With a timeline attached (async-overlap runs) every halo exchange
+  // Under named timeline lanes (async-overlap runs) every halo exchange
   // executes split-phase around compute that provably needs no ghosts:
   // the state exchange around the pointwise EOS stage, and — under
   // wide_overlap — each later exchange around the INTERIOR sweep of its
@@ -302,7 +302,7 @@ double LagrangianEulerianIntegrator::advance() {
   // data; rind sweeps read finished ghosts exactly as a post-fill stage
   // would), so the fields are bit-identical; only the modeled completion
   // time drops (docs/async_overlap.md).
-  const bool split_phase = ctx_->timeline != nullptr;
+  const bool split_phase = clock_->timeline().named_lanes();
   const bool wide = wide_overlap_active();
   double dt = std::numeric_limits<double>::infinity();
   const auto compute_dt_all = [&]() {
@@ -509,11 +509,13 @@ LagrangianEulerianIntegrator::measure_device_costs() {
   std::vector<amr::MeasuredDeviceCosts> costs(
       static_cast<std::size_t>(n));
   gpu_busy_snapshot_.resize(static_cast<std::size_t>(n), 0.0);
-  vgpu::Timeline* tl = ctx_->timeline;
+  // A single-lane timeline has no per-device lanes ("gpu<i>" resolves to
+  // the host lane): it reports no busy time, so the rates stay uniform.
+  vgpu::Timeline& tl = clock_->timeline();
   for (int d = 0; d < n; ++d) {
     double busy = 0.0;
-    if (tl != nullptr) {
-      busy = tl->busy(tl->lane(vgpu::Topology::gpu_lane_name(d)));
+    if (tl.named_lanes()) {
+      busy = tl.busy(tl.lane(vgpu::Topology::gpu_lane_name(d)));
     }
     costs[static_cast<std::size_t>(d)].busy_seconds =
         busy - gpu_busy_snapshot_[static_cast<std::size_t>(d)];

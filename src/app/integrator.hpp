@@ -65,7 +65,7 @@ struct TransferCounters {
     std::uint64_t fills = 0;
     std::uint64_t split_fills = 0;
     /// comm+net lane busy seconds issued inside the window (an upper
-    /// bound on what the window could hide); 0 without a timeline.
+    /// bound on what the window could hide); 0 on a single-lane timeline.
     double comm_seconds = 0.0;
     double overlap_seconds_saved = 0.0;
   };
@@ -153,14 +153,16 @@ class LagrangianEulerianIntegrator {
                    std::vector<std::unique_ptr<xfer::RefineSchedule>>& scheds,
                    const StageFn& stage);
 
-  /// True when the widened overlap window is in effect: timeline
-  /// attached, wide_overlap requested, batched route, distributed world.
+  /// True when the widened overlap window is in effect: named timeline
+  /// lanes, wide_overlap requested, batched route, distributed world.
   bool wide_overlap_active() const;
 
-  /// overlap_seconds_saved of the attached timeline (0 without one).
+  /// overlap_seconds_saved of the clock's timeline (0 on a single lane,
+  /// which overlaps nothing).
   double overlap_saved_now() const;
 
-  /// comm+net lane busy seconds of the attached timeline (0 without one).
+  /// comm+net lane busy seconds of the clock's timeline (0 on a single
+  /// lane, which has no comm lanes).
   double comm_busy_now() const;
 
   /// Per-device compute cost observed since the previous regrid: the

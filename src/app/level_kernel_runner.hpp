@@ -77,10 +77,10 @@ class LevelKernelRunner {
   /// Calls `fn(device, stream, patches, boxes)` once per device group of
   /// the level's local patches. Single-device (or no topology): one call
   /// on the runner's own device and stream — the legacy fused launch,
-  /// unchanged. Multi-device: groups by each patch's device ordinal; with
-  /// a timeline each group's lane forks from the caller's cursor (the
-  /// host issues a stage only after the previous one joined) and the
-  /// stage joins back at the slowest group's completion.
+  /// unchanged. Multi-device: groups by each patch's device ordinal; each
+  /// group's "gpu<i>" lane forks from the caller's cursor (the host
+  /// issues a stage only after the previous one joined) and the stage
+  /// joins back at the slowest group's completion.
   template <typename Fn>
   void for_groups(hier::PatchLevel& level, Fn&& fn) {
     if (topology_ == nullptr || topology_->device_count() <= 1) {
@@ -95,7 +95,7 @@ class LevelKernelRunner {
       fn(*device_, stream_, patches, boxes);
       return;
     }
-    vgpu::Timeline* tl = device_->timeline();
+    vgpu::Timeline& tl = device_->timeline();
     double join = 0.0;
     for (int d = 0; d < topology_->device_count(); ++d) {
       std::vector<hier::Patch*> patches;
@@ -111,21 +111,15 @@ class LevelKernelRunner {
       }
       vgpu::Device& dev = topology_->device(d);
       vgpu::Stream stream(dev, "hydro");
-      if (tl != nullptr) {
-        const int lane = tl->lane(vgpu::Topology::gpu_lane_name(d));
-        tl->advance(lane, tl->now(tl->active_lane()));
-        stream.bind_lane(lane);
-      }
+      const int lane = tl.lane(vgpu::Topology::gpu_lane_name(d));
+      tl.advance(lane, tl.now(tl.active_lane()));
+      stream.bind_lane(lane);
       fn(dev, stream, patches, boxes);
-      if (tl != nullptr) {
-        vgpu::Event done;
-        done.record(stream);
-        join = std::max(join, done.timestamp());
-      }
+      vgpu::Event done;
+      done.record(stream);
+      join = std::max(join, done.timestamp());
     }
-    if (tl != nullptr) {
-      tl->advance(tl->active_lane(), join);
-    }
+    tl.advance(tl.active_lane(), join);
   }
 
   vgpu::Device* device_;

@@ -51,9 +51,9 @@ Simulation::Simulation(const SimulationConfig& config,
   if (shared_device != nullptr) {
     // Service mode: ride the server's device and clock so K jobs share
     // one modeled accelerator (memory arena included) and one account of
-    // modeled time. The async model is per-rank-clock and cannot be
-    // shared — the server interleaves jobs on the synchronous model and
-    // hides launch overhead through its launch-fusion scope instead.
+    // modeled time. Named lanes cannot be shared — the server interleaves
+    // jobs on the shared clock's single-lane timeline and hides launch
+    // overhead through its launch-fusion scope instead.
     RAMR_REQUIRE(!config_.async_overlap,
                  "async_overlap is incompatible with a shared device");
     RAMR_REQUIRE(config_.topology.device_count <= 1,
@@ -68,14 +68,13 @@ Simulation::Simulation(const SimulationConfig& config,
     clock_ = &own_clock_;
   }
   if (config_.async_overlap) {
-    // The timeline attaches to the rank clock: every modeled charge
-    // (device, network, host ops) now advances a lane cursor, and the
-    // integrator runs every halo exchange split-phase: the state
-    // exchange around EOS, and — with wide_overlap (default) — the
-    // remaining exchanges around the interior sweeps of their consumer
-    // stages (interior/rind requires the batched launch route).
-    timeline_ = std::make_unique<vgpu::Timeline>(*clock_);
-    ctx_.timeline = timeline_.get();
+    // Named lanes on the rank clock's timeline: comm kernels, copy
+    // engines and wire legs get cursors of their own, and the integrator
+    // runs every halo exchange split-phase: the state exchange around
+    // EOS, and — with wide_overlap (default) — the remaining exchanges
+    // around the interior sweeps of their consumer stages (interior/rind
+    // requires the batched launch route).
+    clock_->timeline().enable_named_lanes();
     ctx_.wide_overlap = config_.wide_overlap && config_.batched_launch;
   }
   ctx_.comm = comm;
@@ -297,9 +296,10 @@ void Simulation::sample_metrics() {
     m.set("ramr_launch_aborts_total", fs.launch_aborts);
   }
 
-  if (timeline_ != nullptr) {
-    m.set("ramr_overlap_seconds_saved", timeline_->overlap_seconds_saved());
-    m.set("ramr_makespan_seconds", timeline_->makespan());
+  const vgpu::Timeline& tl = clock_->timeline();
+  if (tl.named_lanes()) {
+    m.set("ramr_overlap_seconds_saved", tl.overlap_seconds_saved());
+    m.set("ramr_makespan_seconds", tl.makespan());
   }
   if (recorder_ != nullptr) {
     m.set("ramr_trace_spans", static_cast<std::uint64_t>(recorder_->size()));

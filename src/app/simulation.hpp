@@ -51,26 +51,27 @@ struct SimulationConfig {
   /// devices, runs every stage as one fused launch per device and
   /// compiles cross-device halo copies onto the peer-link lanes
   /// (docs/device_topology.md). Multi-device requires batched_launch;
-  /// speedup manifests under async_overlap (the synchronous model sums
-  /// charges across lanes).
+  /// speedup manifests under async_overlap (the single-lane timeline
+  /// sums charges across devices).
   vgpu::TopologySpec topology;
-  /// Patch-to-rank partitioning (kMorton default, kGreedy ablation,
-  /// kMeasured = Morton ranks + measured per-device costs steering the
-  /// patch-to-device assignment between regrids).
+  /// Patch-to-rank partitioning (kMorton default; kMeasured = Morton
+  /// ranks + measured per-device costs steering the patch-to-device
+  /// assignment between regrids).
   amr::BalanceMethod balance_method = amr::BalanceMethod::kMorton;
   /// Fused per-level kernel batching: one launch per kernel sub-stage
   /// per level (default). Off = the per-patch launch structure of the
   /// paper's original code; both produce bit-identical fields.
   bool batched_launch = true;
-  /// Async timeline model: attach a vgpu::Timeline to the rank clock and
-  /// run the start-of-step state exchange split-phase around the EOS
-  /// stage, with send/recv wire legs on the network lane — communication
-  /// overlaps compute and the receiver waits on message arrival instead
-  /// of re-paying wire time. Fields are bit-identical to the synchronous
-  /// path (identical launch contents; only modeled timestamps differ);
-  /// step time is then Timeline::makespan(), strictly below the serial
-  /// sum when any overlap occurs (docs/async_overlap.md). Off (default)
-  /// = the synchronous single-cursor model of the compiled-plan path.
+  /// Async timing: switch the rank clock's vgpu::Timeline to named lanes
+  /// and run the halo exchanges split-phase around compute that needs no
+  /// ghosts, with pack/unpack on the "comm" lane and wire legs on the
+  /// "net" lane, so communication overlaps compute. Fields are
+  /// bit-identical to the synchronous path (identical launch contents;
+  /// only modeled timestamps differ); step time drops below the
+  /// single-lane one when any overlap occurs (docs/async_overlap.md).
+  /// Off (default) = the single-lane timeline: every fill finishes before
+  /// the next stage starts. Wire time is paid once, by the sender, in
+  /// both modes; receivers wait on message arrival.
   bool async_overlap = false;
   /// Widened overlap window (effective only with async_overlap and
   /// batched_launch): EVERY per-step halo exchange hides behind compute,
@@ -107,7 +108,7 @@ class Simulation {
   /// `shared_device` and charges ITS clock instead of owning either, so
   /// K concurrent jobs compete for one modeled accelerator (arena
   /// capacity included) and their kernel charges can fuse across jobs
-  /// inside the server's launch-fusion scope. Requires the synchronous
+  /// inside the server's launch-fusion scope. Requires the single-lane
   /// timing model (config.async_overlap == false).
   ///
   /// `shared_fault_plan` lets an owner (the recovering server) keep ONE
@@ -137,17 +138,16 @@ class Simulation {
 
   hier::PatchHierarchy& hierarchy() { return *hierarchy_; }
   vgpu::SimClock& clock() { return *clock_; }
-  /// Multi-lane timing model (async_overlap runs); null otherwise.
-  vgpu::Timeline* timeline() { return timeline_.get(); }
-  /// Modeled completion time of this rank, comparable across the two
-  /// timing models: the serial clock total (a pure busy sum) on the
-  /// synchronous path, and the timeline's comparable_seconds() (lane
-  /// makespan minus cross-rank imbalance idle, which the serial account
-  /// never contained) under async_overlap. Timeline::makespan() stays
-  /// available for the wait-inclusive completion time.
+  /// The rank clock's timing model (never null): named lanes under
+  /// async_overlap, one lane otherwise.
+  vgpu::Timeline* timeline() { return &clock_->timeline(); }
+  /// Modeled completion time of this rank: the timeline's
+  /// comparable_seconds() (makespan minus cross-rank imbalance idle).
+  /// On one rank and one lane this is exactly clock().total().
+  /// Timeline::makespan() stays available for the wait-inclusive
+  /// completion time.
   double modeled_seconds() const {
-    return timeline_ != nullptr ? timeline_->comparable_seconds()
-                                : clock_->total();
+    return clock_->timeline().comparable_seconds();
   }
   vgpu::Device& device() { return *device_; }
   /// The rank's device complex; null on shared-device (service) runs.
@@ -197,12 +197,9 @@ class Simulation {
   /// when a shared device injects its own clock.
   vgpu::SimClock own_clock_;
   vgpu::SimClock* clock_;
-  /// Attached to the clock when async_overlap is on (declared after the
-  /// owned clock: detaches before it dies).
-  std::unique_ptr<vgpu::Timeline> timeline_;
   /// Observability (config.observability): the recorder attaches to the
   /// clock as its ChargeListener (declared after the owned clock so it
-  /// detaches first, like the timeline).
+  /// detaches first).
   std::unique_ptr<obs::TraceRecorder> recorder_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   /// Owns this rank's devices (even when device_count == 1) unless a

@@ -373,8 +373,6 @@ Json topology_to_json(const vgpu::TopologySpec& spec) {
 
 const char* balance_method_name(amr::BalanceMethod m) {
   switch (m) {
-    case amr::BalanceMethod::kGreedy:
-      return "greedy";
     case amr::BalanceMethod::kMeasured:
       return "measured";
     case amr::BalanceMethod::kMorton:
@@ -621,13 +619,11 @@ RunConfig parse_run_config(const Json& root) {
         "balance_method", balance_method_name(config.sim.balance_method));
     if (bm == "morton") {
       config.sim.balance_method = amr::BalanceMethod::kMorton;
-    } else if (bm == "greedy") {
-      config.sim.balance_method = amr::BalanceMethod::kGreedy;
     } else if (bm == "measured") {
       config.sim.balance_method = amr::BalanceMethod::kMeasured;
     } else {
       RAMR_FAIL("config key \"" << a.path_of("balance_method")
-                                << "\": expected \"morton\", \"greedy\" or "
+                                << "\": expected \"morton\" or "
                                    "\"measured\", got \""
                                 << bm << "\"");
     }

@@ -51,12 +51,11 @@ const std::string& TraceRecorder::name(std::int32_t id) const {
 }
 
 std::string TraceRecorder::lane_label(std::int32_t lane) const {
-  const vgpu::Timeline* tl = clock_->timeline();
-  if (tl != nullptr && lane >= 0 &&
-      static_cast<std::size_t>(lane) < tl->lane_count()) {
-    return tl->lane_name(lane);
+  const vgpu::Timeline& tl = clock_->timeline();
+  if (lane >= 0 && static_cast<std::size_t>(lane) < tl.lane_count()) {
+    return tl.lane_name(lane);
   }
-  return lane == 0 ? "host" : "lane" + std::to_string(lane);
+  return "lane" + std::to_string(lane);
 }
 
 std::int32_t TraceRecorder::intern(const std::string& name) {
@@ -82,18 +81,13 @@ void TraceRecorder::record(const TraceSpan& span) {
 
 void TraceRecorder::on_charge(const std::string& component, double seconds) {
   TraceSpan s;
-  const vgpu::Timeline* tl = clock_->timeline();
-  if (tl != nullptr) {
-    // The timeline has already absorbed this charge: the active lane's
-    // cursor moved by exactly `seconds`. Bracketing [now - seconds, now]
-    // replays the same doubles in the same order as Lane::busy, so span
-    // sums match the timeline's accounting bitwise.
-    s.lane = tl->active_lane();
-    s.t_end = tl->now(s.lane);
-  } else {
-    s.lane = 0;
-    s.t_end = clock_->total();
-  }
+  // The timeline has already absorbed this charge: the active lane's
+  // cursor moved by exactly `seconds`. Bracketing [now - seconds, now]
+  // replays the same doubles in the same order as Lane::busy, so span
+  // sums match the timeline's accounting bitwise.
+  const vgpu::Timeline& tl = clock_->timeline();
+  s.lane = tl.active_lane();
+  s.t_end = tl.now(s.lane);
   s.t_begin = s.t_end - seconds;
   s.duration_s = seconds;
   s.name = intern(component);
@@ -125,14 +119,9 @@ void TraceRecorder::on_annotation_begin(const std::string& name) {
   OpenAnnotation a;
   a.name = intern(name);
   a.step = step_;
-  const vgpu::Timeline* tl = clock_->timeline();
-  if (tl != nullptr) {
-    a.lane = tl->active_lane();
-    a.t_begin = tl->now(a.lane);
-  } else {
-    a.lane = 0;
-    a.t_begin = clock_->total();
-  }
+  const vgpu::Timeline& tl = clock_->timeline();
+  a.lane = tl.active_lane();
+  a.t_begin = tl.now(a.lane);
   annotation_stack_.push_back(a);
 }
 
@@ -151,8 +140,7 @@ void TraceRecorder::on_annotation_end() {
   s.name = a.name;
   s.step = a.step;
   s.t_begin = a.t_begin;
-  const vgpu::Timeline* tl = clock_->timeline();
-  s.t_end = tl != nullptr ? tl->now(a.lane) : clock_->total();
+  s.t_end = clock_->timeline().now(a.lane);
   s.duration_s = s.t_end - s.t_begin;
   s.kind = SpanKind::kAnnotation;
   record(s);

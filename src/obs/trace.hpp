@@ -86,8 +86,8 @@ class TraceRecorder final : public vgpu::ChargeListener {
   /// Interned span-name lookup.
   const std::string& name(std::int32_t id) const;
 
-  /// Label of a span's lane: the Timeline lane name, or "host" when the
-  /// clock has no timeline (synchronous model, everything on lane 0).
+  /// Label of a span's lane: the Timeline lane name ("host" for lane 0,
+  /// the only lane of a single-lane timeline).
   std::string lane_label(std::int32_t lane) const;
 
   vgpu::SimClock& clock() const { return *clock_; }

@@ -5,22 +5,13 @@
 #include <fstream>
 
 #include "util/error.hpp"
+#include "util/fnv1a.hpp"
 
 namespace ramr::pdat {
 
 namespace {
 
 constexpr std::uint64_t kMagic = 0x52414d5244423032ull;  // "RAMRDB02"
-
-/// FNV-1a 64: cheap, deterministic, catches truncation and bit rot.
-std::uint64_t fnv1a(const std::byte* data, std::size_t bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t n = 0; n < bytes; ++n) {
-    h ^= static_cast<std::uint64_t>(data[n]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 void append_raw(std::vector<std::byte>& out, const void* data,
                 std::size_t bytes) {
@@ -80,7 +71,9 @@ void Database::write_file(const std::string& path) const {
   // crash mid-write leaves at worst a stale .tmp, never a torn file.
   const std::vector<std::byte> body = serialize();
   const std::uint64_t magic = kMagic;
-  const std::uint64_t checksum = fnv1a(body.data(), body.size());
+  // FNV-1a catches truncation and bit rot.
+  const std::uint64_t checksum =
+      util::fnv1a(util::kFnvOffset, body.data(), body.size());
   const std::uint64_t body_bytes = body.size();
   const std::string tmp = path + ".tmp";
   {
@@ -120,7 +113,8 @@ Database Database::read_file(const std::string& path) {
                    static_cast<std::uint64_t>(is.gcount()) == body_bytes,
                "truncated restart file " << path << " (expected "
                << body_bytes << " body bytes)");
-  RAMR_REQUIRE(fnv1a(body.data(), body.size()) == checksum,
+  RAMR_REQUIRE(util::fnv1a(util::kFnvOffset, body.data(), body.size()) ==
+                   checksum,
                "restart file " << path
                << " failed checksum verification (corrupt or truncated)");
 

@@ -46,19 +46,19 @@ void Communicator::send(int dest, int tag, const void* data, std::size_t bytes) 
       wire += fault_plan_->config().message_delay_s;
     }
   }
+  // The NIC drains the message: wire time runs on the network lane,
+  // starting no earlier than the issuing lane's cursor (the payload
+  // exists only once the pack that produced it is done). The issuing
+  // lane does NOT advance — this is what lets a nonblocking send's wire
+  // time hide behind compute. On a single-lane timeline "net" is the
+  // host lane, so the sender pays the wire time in line.
+  vgpu::Timeline& tl = timeline();
+  const int net = tl.lane("net");
   double available_at = 0.0;
-  vgpu::Timeline* tl = timeline();
-  if (tl != nullptr) {
-    // The NIC drains the message: wire time runs on the network lane,
-    // starting no earlier than the issuing lane's cursor (the payload
-    // exists only once the pack that produced it is done). The issuing
-    // lane does NOT advance — this is what lets a nonblocking send's
-    // wire time hide behind compute.
-    vgpu::LaneScope net(tl, tl->lane("net"));
+  {
+    vgpu::LaneScope scope(tl, net);
     clock_->charge(wire);
-    available_at = tl->now(tl->lane("net"));
-  } else {
-    clock_->charge(wire);
+    available_at = tl.now(net);
   }
   ++stats_.messages_sent;
   stats_.bytes_sent += bytes;
@@ -78,25 +78,17 @@ std::vector<std::byte> Communicator::recv(int src, int tag) {
   std::vector<std::byte> payload = std::move(it->second.front().payload);
   const double available_at = it->second.front().available_at;
   it->second.pop_front();
+  // The sender's network lane already carried the wire time; the
+  // receiver WAITS on the message-arrival event (cursor = max, no busy
+  // charge). The part of the wait beyond the wire time is a LAGGING
+  // SENDER — load imbalance, not failed overlap — and is booked as
+  // excluded idle.
   const double wire = world_->network().message_time(payload.size());
-  vgpu::Timeline* tl = timeline();
-  if (tl != nullptr) {
-    // Timeline model: the sender's network lane already carried the wire
-    // time; the receiver WAITS on the message-arrival event (cursor =
-    // max, no busy charge) instead of re-paying it. The synchronous
-    // model's serial re-pay is recorded so overlap_seconds_saved()
-    // compares like with like; the part of the wait beyond the wire
-    // time is a LAGGING SENDER — load imbalance, not failed overlap —
-    // and is booked as excluded idle.
-    const double wait = available_at - tl->now();
-    tl->advance(tl->active_lane(), available_at);
-    tl->add_serial_only(wire);
-    if (wait > wire) {
-      tl->add_imbalance_idle(wait - wire);
-    }
-  } else {
-    // The receiver also pays the wire time (no overlap modeled).
-    clock_->charge(wire);
+  vgpu::Timeline& tl = timeline();
+  const double wait = available_at - tl.now();
+  tl.advance(tl.active_lane(), available_at);
+  if (wait > wire) {
+    tl.add_imbalance_idle(wait - wire);
   }
   ++stats_.messages_received;
   stats_.bytes_received += payload.size();
@@ -143,10 +135,7 @@ void Communicator::wait_all(std::vector<Request>& requests) {
 }
 
 void Communicator::collective_rendezvous(double my_time) {
-  vgpu::Timeline* tl = timeline();
-  if (tl != nullptr) {
-    tl->rendezvous(my_time);
-  }
+  timeline().rendezvous(my_time);
 }
 
 double Communicator::allreduce(double value, ReduceOp op) {
@@ -154,7 +143,7 @@ double Communicator::allreduce(double value, ReduceOp op) {
   // Recursive-doubling allreduce: 2*log2(P) message latencies.
   clock_->charge(2.0 * tree_depth(size()) *
                  world_->network().message_time(sizeof(double)));
-  const double my_time = timeline() != nullptr ? timeline()->now() : 0.0;
+  const double my_time = timeline().now();
   std::unique_lock<std::mutex> lock(c.mutex);
   const std::uint64_t generation = c.generation;
   c.fold_time(c.arrived == 0, my_time);
@@ -191,7 +180,7 @@ std::int64_t Communicator::allreduce(std::int64_t value, ReduceOp op) {
   World::CollectiveState& c = world_->collective_;
   clock_->charge(2.0 * tree_depth(size()) *
                  world_->network().message_time(sizeof(std::int64_t)));
-  const double my_time = timeline() != nullptr ? timeline()->now() : 0.0;
+  const double my_time = timeline().now();
   std::unique_lock<std::mutex> lock(c.mutex);
   const std::uint64_t generation = c.generation;
   c.fold_time(c.arrived == 0, my_time);
@@ -226,7 +215,7 @@ std::vector<std::vector<std::byte>> Communicator::allgather(const void* data,
     clock_->charge(static_cast<double>(size() - 1) *
                    world_->network().message_time(bytes));
   }
-  const double my_time = timeline() != nullptr ? timeline()->now() : 0.0;
+  const double my_time = timeline().now();
   std::unique_lock<std::mutex> lock(c.mutex);
   const std::uint64_t generation = c.generation;
   c.fold_time(c.arrived == 0, my_time);
@@ -257,7 +246,7 @@ void Communicator::barrier() {
   World::CollectiveState& c = world_->collective_;
   clock_->charge(2.0 * tree_depth(size()) *
                  world_->network().message_time(0));
-  const double my_time = timeline() != nullptr ? timeline()->now() : 0.0;
+  const double my_time = timeline().now();
   std::unique_lock<std::mutex> lock(c.mutex);
   const std::uint64_t generation = c.generation;
   c.fold_time(c.arrived == 0, my_time);

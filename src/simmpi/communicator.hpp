@@ -3,9 +3,9 @@
 // The communication *structure* of the AMR algorithm (who sends what to
 // whom, message counts and sizes, global reductions) is executed for
 // real through tagged mailboxes; only the wire time is modeled, using a
-// NetworkSpec, and charged to each rank's SimClock. The API is the small
-// subset of MPI the paper's code needs (see the LLNL MPI tutorial: most
-// MPI programs use a dozen routines or fewer).
+// NetworkSpec, and charged once, to the sending rank's SimClock. The API
+// is the small subset of MPI the paper's code needs (see the LLNL MPI
+// tutorial: most MPI programs use a dozen routines or fewer).
 #pragma once
 
 #include <algorithm>
@@ -91,24 +91,23 @@ class Communicator {
   /// clock; the application points this at its per-rank clock so network
   /// time lands in the current component scope).
   ///
-  /// When the clock carries a Timeline (async-overlap runs) the wire
-  /// legs become NETWORK-LANE operations: a send charges its wire time
-  /// on the rank's "net" lane — the NIC — starting no earlier than the
-  /// issuing lane's cursor, so it proceeds concurrently with compute;
-  /// the message carries its arrival timestamp and the receiver WAITS on
-  /// that message-arrival event (cursor = max, no busy time) instead of
-  /// serially re-paying the wire time as the synchronous model does.
-  /// Collectives become rendezvous points that synchronise every rank's
-  /// virtual time to the latest arrival.
+  /// Wire time is paid once, by the sender: a send charges it on the
+  /// clock timeline's "net" lane — the NIC — starting no earlier than
+  /// the issuing lane's cursor, so under named lanes (async-overlap
+  /// runs) it proceeds concurrently with compute; on a single-lane
+  /// timeline "net" is the host lane. The message carries its arrival
+  /// timestamp and the receiver WAITS on that message-arrival event
+  /// (cursor = max, no busy time). Collectives are rendezvous points
+  /// that synchronise every rank's virtual time to the latest arrival.
   void set_clock(vgpu::SimClock* clock) { clock_ = clock; }
   vgpu::SimClock& clock() { return *clock_; }
 
   /// Attaches a fault plan consulted on every send (util/fault.hpp):
   /// injected drops retransmit after a timeout, injected delays stretch
-  /// the wire leg — both charge extra modeled time (on the net lane under
-  /// a timeline) without ever losing the payload. Null disables
-  /// injection. The communicator does not own the plan; the owner must
-  /// clear it before the plan dies.
+  /// the wire leg — both charge extra modeled time (on the net lane)
+  /// without ever losing the payload. Null disables injection. The
+  /// communicator does not own the plan; the owner must clear it before
+  /// the plan dies.
   void set_fault_plan(util::FaultPlan* plan) { fault_plan_ = plan; }
   util::FaultPlan* fault_plan() const { return fault_plan_; }
 
@@ -164,12 +163,11 @@ class Communicator {
   friend class World;
   Communicator(World& world, int rank);
 
-  /// Active timeline, or null in the synchronous model.
-  vgpu::Timeline* timeline() const { return clock_->timeline(); }
+  vgpu::Timeline& timeline() const { return clock_->timeline(); }
 
   /// Rendezvous: synchronises this rank's virtual time with the slowest
-  /// participant of the collective that just completed (no-op without a
-  /// timeline). `my_time` is this rank's cursor at arrival.
+  /// participant of the collective that just completed. `my_time` is
+  /// this rank's cursor at arrival.
   void collective_rendezvous(double my_time);
 
   World* world_;
@@ -200,10 +198,9 @@ class World {
 
   struct Message {
     std::vector<std::byte> payload;
-    /// Sender-side virtual time at which the last wire byte arrives
-    /// (timeline runs only; 0 in the synchronous model). Rank virtual
-    /// clocks share an origin and are re-synchronised at every
-    /// collective, so the receiver may wait on this directly.
+    /// Sender-side virtual time at which the last wire byte arrives.
+    /// Rank virtual clocks share an origin and are re-synchronised at
+    /// every collective, so the receiver may wait on this directly.
     double available_at = 0.0;
   };
 

@@ -64,12 +64,14 @@ cfg::Json run_metrics_json(app::Simulation& sim) {
   transfer.set("windows", std::move(windows));
   j.set("transfer", std::move(transfer));
 
-  if (vgpu::Timeline* tl = sim.timeline()) {
+  // Single-lane runs overlap nothing, so only named-lane (async) runs
+  // report the block.
+  if (const vgpu::Timeline& tl = *sim.timeline(); tl.named_lanes()) {
     cfg::Json overlap = cfg::Json::make_object();
-    overlap.set("serial_seconds", cfg::Json(tl->serial_seconds()));
-    overlap.set("makespan", cfg::Json(tl->makespan()));
-    overlap.set("comparable_seconds", cfg::Json(tl->comparable_seconds()));
-    overlap.set("overlap_seconds_saved", cfg::Json(tl->overlap_seconds_saved()));
+    overlap.set("busy_seconds", cfg::Json(tl.busy_total()));
+    overlap.set("makespan", cfg::Json(tl.makespan()));
+    overlap.set("comparable_seconds", cfg::Json(tl.comparable_seconds()));
+    overlap.set("overlap_seconds_saved", cfg::Json(tl.overlap_seconds_saved()));
     j.set("overlap", std::move(overlap));
   }
 
@@ -95,19 +97,20 @@ cfg::Json run_metrics_json(app::Simulation& sim) {
   j.set("gridding", std::move(gridding));
 
   // Per-device attribution on multi-device ranks: what each device of
-  // the topology computed (gpu lane busy under the timeline model),
-  // launched, held and shipped over peer links / NIC-direct.
+  // the topology computed (gpu lane busy under named lanes; a single
+  // lane has no per-device lanes and reports 0), launched, held and
+  // shipped over peer links / NIC-direct.
   if (vgpu::Topology* topo = sim.topology(); topo != nullptr &&
                                              topo->device_count() > 1) {
-    vgpu::Timeline* tl = sim.timeline();
+    vgpu::Timeline& tl = *sim.timeline();
     cfg::Json devices = cfg::Json::make_array();
     for (int d = 0; d < topo->device_count(); ++d) {
       vgpu::Device& dev = topo->device(d);
       cfg::Json e = cfg::Json::make_object();
       e.set("ordinal", cfg::Json(d));
       e.set("busy_seconds",
-            cfg::Json(tl != nullptr
-                          ? tl->busy(tl->lane(vgpu::Topology::gpu_lane_name(d)))
+            cfg::Json(tl.named_lanes()
+                          ? tl.busy(tl.lane(vgpu::Topology::gpu_lane_name(d)))
                           : 0.0));
       e.set("kernel_seconds", cfg::Json(dev.kernel_seconds()));
       e.set("launches",
@@ -122,15 +125,15 @@ cfg::Json run_metrics_json(app::Simulation& sim) {
       // lane charges like any other, so their busy/idle split belongs in
       // the per-device accounting (it was silently omitted before —
       // peer-heavy runs looked idle on every lane the report showed).
-      if (tl != nullptr) {
-        const double makespan = tl->makespan();
+      if (tl.named_lanes()) {
+        const double makespan = tl.makespan();
         cfg::Json links = cfg::Json::make_object();
         for (int o = 0; o < topo->device_count(); ++o) {
           if (o == d) {
             continue;
           }
           const std::string name = vgpu::Topology::peer_lane_name(d, o);
-          const double busy = tl->busy(tl->lane(name));
+          const double busy = tl.busy(tl.lane(name));
           cfg::Json link = cfg::Json::make_object();
           link.set("busy_seconds", cfg::Json(busy));
           link.set("idle_seconds", cfg::Json(makespan - busy));

@@ -103,9 +103,9 @@ int SimulationServer::submit(JobSpec spec) {
                                    "(run.ranks must be 1)");
   RAMR_REQUIRE(!spec.config.sim.async_overlap,
                "service job \"" << spec.name
-                                << "\": async_overlap requires a private "
-                                   "timeline and cannot run on the shared "
-                                   "device");
+                                << "\": async_overlap needs named "
+                                   "timeline lanes, which the shared "
+                                   "device's launch fusion cannot carry");
   const int id = queue_.submit(std::move(spec));
   RAMR_LOG_INFO("job " << id << " (" << queue_.spec(id).name << ") submitted");
   return id;

@@ -171,8 +171,8 @@ class SimulationServer {
   explicit SimulationServer(const ServerConfig& config);
 
   /// Validates and enqueues; returns the job id. Service jobs must be
-  /// single-rank and synchronous-model (async_overlap implies a private
-  /// timeline, which a shared device cannot carry).
+  /// single-rank and single-lane (async_overlap needs named timeline
+  /// lanes, which the shared device's launch fusion cannot carry).
   int submit(JobSpec spec);
 
   JobQueue& queue() { return queue_; }

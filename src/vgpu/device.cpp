@@ -43,23 +43,15 @@ double Device::memcpy_peer(void* dst, Device& dst_device, const void* src,
   const double lat = peer_bw_gbs_ > 0.0 ? peer_lat_s_ : spec_.pcie_lat_s;
   const double bw = peer_bw_gbs_ > 0.0 ? peer_bw_gbs_ : spec_.pcie_bw_gbs;
   const double seconds = lat + static_cast<double>(bytes) / (bw * 1.0e9);
-  Timeline* tl = timeline();
-  if (tl == nullptr) {
-    clock_->charge(seconds);
-    return 0.0;
-  }
   // The directed link is its own copy engine (Topology::peer_lane_name):
   // the fork orders the copy after the issuing lane's pack, and the
   // caller orders the consuming unpack after the returned timestamp.
-  const int lane = tl->lane("peer" + std::to_string(ordinal_) + "-" +
-                            std::to_string(dst_device.ordinal_));
-  double done = 0.0;
-  {
-    LaneScope scope(tl, lane);
-    clock_->charge(seconds);
-    done = tl->now(lane);
-  }
-  return done;
+  Timeline& tl = timeline();
+  const int lane = tl.lane("peer" + std::to_string(ordinal_) + "-" +
+                           std::to_string(dst_device.ordinal_));
+  LaneScope scope(tl, lane);
+  clock_->charge(seconds);
+  return tl.now(lane);
 }
 
 void Device::memcpy_d2h_direct(void* dst, const void* src,
@@ -159,11 +151,12 @@ void Device::charge_kernel(std::int64_t n, const KernelCost& cost) {
 
 void Device::begin_launch_fusion() {
   // Deferral re-orders charges; the SimClock is an order-independent
-  // accumulator so totals are exact, but a timeline derives lane cursors
-  // from charge ORDER — fusion and the async model are exclusive.
-  RAMR_REQUIRE(clock_->timeline() == nullptr,
-               "launch fusion requires the synchronous timing model "
-               "(detach the Timeline first)");
+  // accumulator and a single lane's cursor sums the same reordered
+  // charges, but named lanes derive their cursors from charge ORDER —
+  // fusion and the async model are exclusive.
+  RAMR_REQUIRE(!timeline().named_lanes(),
+               "launch fusion requires a single-lane timeline "
+               "(the synchronous timing model)");
   ++fusion_depth_;
 }
 

@@ -82,12 +82,12 @@ class Device;
 
 /// An in-order execution queue, as in CUDA. Functionally the virtual
 /// device executes kernels eagerly (so stream semantics are trivially
-/// preserved); the stream scopes TIMING: when the device's clock carries
-/// a Timeline and the stream is bound to a lane, every launch on the
-/// stream advances that lane's cursor instead of the active lane — the
-/// stream is a concurrent engine, exactly a CUDA stream. Unbound streams
-/// follow the active lane (the CUDA default stream: fully ordered with
-/// the issuing code).
+/// preserved); the stream scopes TIMING: when the stream is bound to a
+/// lane of the clock's Timeline, every launch on the stream advances
+/// that lane's cursor instead of the active lane — the stream is a
+/// concurrent engine, exactly a CUDA stream. Unbound streams follow the
+/// active lane (the CUDA default stream: fully ordered with the issuing
+/// code).
 class Stream {
  public:
   Stream(Device& device, std::string name) : device_(&device), name_(std::move(name)) {}
@@ -107,16 +107,16 @@ class Stream {
 };
 
 /// A marker in a stream; wait_event models cross-stream ordering. With
-/// eager execution ordering always holds functionally; under a timeline
-/// the event carries the REAL timestamp of the stream's lane at record
-/// time, and waiting advances the waiter to it (completion = max of the
+/// eager execution ordering always holds functionally; for timing the
+/// event carries the timestamp of the stream's lane at record time, and
+/// waiting advances the waiter to it (completion = max of the
 /// dependency chains, never the sum).
 class Event {
  public:
   void record(Stream& stream);  // defined after Device
   bool recorded() const { return recorded_; }
 
-  /// Lane time at record (0 without a timeline).
+  /// Lane time at record.
   double timestamp() const { return timestamp_; }
 
  private:
@@ -146,19 +146,15 @@ class Device {
   TransferLog& transfers() { return transfers_; }
   const TransferLog& transfers() const { return transfers_; }
 
-  /// Timing model attached to this device's clock, or null when running
-  /// the synchronous (single-cursor) model.
-  Timeline* timeline() const { return clock_->timeline(); }
+  /// Timing model of this device's clock.
+  Timeline& timeline() const { return clock_->timeline(); }
 
   /// Models cudaStreamWaitEvent: `stream`'s lane (or the active lane for
   /// an unbound stream) cannot proceed before the event's timestamp.
-  /// No-op without a timeline.
   void wait_event(Stream& stream, const Event& event) {
-    Timeline* tl = timeline();
-    if (tl != nullptr) {
-      tl->advance(stream.lane() >= 0 ? stream.lane() : tl->active_lane(),
-                  event.timestamp());
-    }
+    Timeline& tl = timeline();
+    tl.advance(stream.lane() >= 0 ? stream.lane() : tl.active_lane(),
+               event.timestamp());
   }
 
   std::uint64_t bytes_allocated() const { return bytes_allocated_; }
@@ -242,9 +238,8 @@ class Device {
   /// "peer<src>-<dst>" (Topology::peer_lane_name); forked from the
   /// active lane, so the copy cannot start before the pack that produced
   /// the data. Returns the link-lane completion timestamp (the caller
-  /// orders the consuming unpack after it); 0 without a timeline, where
-  /// the cost is charged serially. No modeled cost on host "devices" or
-  /// same-device copies.
+  /// orders the consuming unpack after it). No modeled cost on host
+  /// "devices" or same-device copies (returns 0).
   double memcpy_peer(void* dst, Device& dst_device, const void* src,
                      std::uint64_t bytes);
 
@@ -366,7 +361,7 @@ class Device {
     if (n <= 0) {
       return std::numeric_limits<double>::infinity();
     }
-    Timeline* tl = stream.lane() >= 0 ? timeline() : nullptr;
+    Timeline& tl = timeline();
     double global_min = std::numeric_limits<double>::infinity();
     {
       // The scalar readback rides the stream's lane with the kernel.
@@ -385,10 +380,10 @@ class Device {
           });
       charge_scalar_readback();
     }
-    if (tl != nullptr) {
+    if (stream.lane() >= 0) {
       // Returning the scalar is a synchronization point: the caller's
       // lane cannot consume the value before the reduction completed.
-      tl->advance(tl->active_lane(), tl->now(stream.lane()));
+      tl.advance(tl.active_lane(), tl.now(stream.lane()));
     }
     return global_min;
   }
@@ -406,8 +401,9 @@ class Device {
   /// interleaves K jobs' level advances inside one scope, so the same
   /// stage kernel of different jobs fuses exactly like the same stage of
   /// different patches. SimClock totals are order-independent
-  /// accumulators, so deferring is sound on the synchronous path;
-  /// a timeline (async model) is rejected at begin. Scopes nest; the
+  /// accumulators and a single-lane timeline's cursor adds the same
+  /// reordered charges, so deferring is sound there; a named-lane
+  /// timeline (async model) is rejected at begin. Scopes nest; the
   /// flush happens when the outermost closes. Scalar readbacks and PCIe
   /// crossings are never deferred (the data is consumed immediately).
   void begin_launch_fusion();
@@ -432,7 +428,7 @@ class Device {
   /// bound to one (async streams); on the active lane otherwise.
   void charge_kernel(const Stream& stream, std::int64_t n,
                      const KernelCost& cost) {
-    LaneScope lane(stream.lane() >= 0 ? timeline() : nullptr, stream.lane());
+    LaneScope lane(timeline(), stream.lane());
     charge_kernel(n, cost);
   }
 
@@ -522,11 +518,8 @@ class Device {
 
 inline void Event::record(Stream& stream) {
   recorded_ = true;
-  const Timeline* tl = stream.device().clock().timeline();
-  if (tl != nullptr) {
-    timestamp_ =
-        tl->now(stream.lane() >= 0 ? stream.lane() : tl->active_lane());
-  }
+  const Timeline& tl = stream.device().timeline();
+  timestamp_ = tl.now(stream.lane() >= 0 ? stream.lane() : tl.active_lane());
 }
 
 /// RAII launch-tag scope: launches on `device` are attributed to `tag`

@@ -1,7 +1,6 @@
 #include "vgpu/sim_clock.hpp"
 
 #include "util/error.hpp"
-#include "vgpu/timeline.hpp"
 
 namespace ramr::vgpu {
 
@@ -17,9 +16,7 @@ void SimClock::charge_to(const std::string& component, double seconds) {
   RAMR_DEBUG_ASSERT(seconds >= 0.0);
   by_component_[component] += seconds;
   total_ += seconds;
-  if (timeline_ != nullptr) {
-    timeline_->on_charge(seconds);
-  }
+  timeline_.on_charge(seconds);
   if (listener_ != nullptr) {
     listener_->on_charge(component, seconds);
   }
@@ -37,19 +34,10 @@ const std::string& SimClock::current_component() const {
 void SimClock::reset() {
   by_component_.clear();
   total_ = 0.0;
-  if (timeline_ != nullptr) {
-    timeline_->reset();
-  }
+  timeline_.reset();
   if (listener_ != nullptr) {
     listener_->on_clock_reset();
   }
-}
-
-void SimClock::merge(const SimClock& other) {
-  for (const auto& [name, seconds] : other.by_component_) {
-    by_component_[name] += seconds;
-  }
-  total_ += other.total_;
 }
 
 void SimClock::push_component(std::string name) {

@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
-namespace ramr::vgpu {
+#include "vgpu/timeline.hpp"
 
-class Timeline;
+namespace ramr::vgpu {
 
 /// Observer of everything the modeled clock does. The clock (and, via
 /// the clock, Timeline and Device) notifies the attached listener of
@@ -53,12 +53,12 @@ class ChargeListener {
   virtual void on_clock_reset() {}
 };
 
-/// Accumulates modeled seconds per named component.
+/// Accumulates modeled seconds per named component, and owns the
+/// rank's Timeline (vgpu/timeline.hpp), which every charge advances.
 class SimClock {
  public:
-  /// Charges `seconds` to the current component (and the total). With an
-  /// attached Timeline the charge also advances the active lane's time
-  /// cursor (vgpu/timeline.hpp).
+  /// Charges `seconds` to the current component (and the total), and
+  /// advances the timeline's active lane by the same amount.
   void charge(double seconds);
 
   /// Charges to an explicit component regardless of the current scope.
@@ -71,25 +71,22 @@ class SimClock {
   /// Name of the component currently on top of the scope stack.
   const std::string& current_component() const;
 
-  /// Zeros the accumulations; an attached timeline resets with it so
-  /// benches that reset the clock re-anchor virtual time at zero.
+  /// Zeros the accumulations; the timeline resets with it so benches
+  /// that reset the clock re-anchor virtual time at zero.
   void reset();
-
-  /// Adds another clock's accumulations into this one.
-  void merge(const SimClock& other);
 
   // Scope management (used via ComponentScope).
   void push_component(std::string name);
   void pop_component();
 
-  /// Multi-lane timing model, when one is attached (async-overlap runs);
-  /// null in the synchronous model. Managed by Timeline's ctor/dtor.
-  Timeline* timeline() const { return timeline_; }
-  void set_timeline(Timeline* timeline) { timeline_ = timeline; }
+  /// The rank's timing model: single-lane unless enable_named_lanes()
+  /// switched it (async-overlap runs).
+  Timeline& timeline() { return timeline_; }
+  const Timeline& timeline() const { return timeline_; }
 
   /// Attached observer (obs::TraceRecorder), or null — the default and
   /// the zero-overhead path. One slot: managed by the listener's
-  /// ctor/dtor like the timeline's.
+  /// ctor/dtor.
   ChargeListener* listener() const { return listener_; }
   void set_listener(ChargeListener* listener) { listener_ = listener; }
 
@@ -97,7 +94,7 @@ class SimClock {
   std::map<std::string, double> by_component_;
   std::vector<std::string> scope_stack_;
   double total_ = 0.0;
-  Timeline* timeline_ = nullptr;
+  Timeline timeline_{*this};
   ChargeListener* listener_ = nullptr;
 };
 

@@ -10,18 +10,12 @@ namespace ramr::vgpu {
 Timeline::Timeline(SimClock& clock) : clock_(&clock) {
   lanes_.push_back(Lane{"host", 0.0, 0.0});
   active_stack_.push_back(kHostLane);
-  RAMR_REQUIRE(clock_->timeline() == nullptr,
-               "SimClock already has an attached timeline");
-  clock_->set_timeline(this);
-}
-
-Timeline::~Timeline() {
-  if (clock_->timeline() == this) {
-    clock_->set_timeline(nullptr);
-  }
 }
 
 int Timeline::lane(const std::string& name) {
+  if (!named_lanes_) {
+    return kHostLane;
+  }
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (lanes_[i].name == name) {
       return static_cast<int>(i);
@@ -82,7 +76,6 @@ void Timeline::reset() {
     l.busy = 0.0;
   }
   busy_total_ = 0.0;
-  serial_only_ = 0.0;
   imbalance_idle_ = 0.0;
 }
 

@@ -1,4 +1,5 @@
-// Multi-lane timing model for asynchronous execution.
+// Multi-lane timing model: the one account of WHEN modeled work
+// completes.
 //
 // The SimClock answers "how many modeled seconds of work were charged,
 // by component" — a serial account. The Timeline answers "WHEN does each
@@ -11,22 +12,24 @@
 // the sum of the charges — which is exactly the paper's claim for
 // GPU-resident AMR: wire time hidden behind compute costs nothing.
 //
-// Attachment is opt-in: without a Timeline on the SimClock every charge
-// is serial and nothing changes (the synchronous model of PR 3). With
-// one attached, every SimClock charge advances the ACTIVE lane (a scope
-// stack, like ComponentScope; lane 0 "host" is the default), so code
-// that never touches lanes still serializes naturally. Overlap appears
-// only where a caller deliberately routes work onto another lane
-// (LaneScope, Stream::bind_lane) between a fork and a join.
+// Every SimClock owns one Timeline, and every charge advances the ACTIVE
+// lane (a scope stack, like ComponentScope; lane 0 "host" is the
+// default). A timeline starts in single-lane mode: lane(name) returns
+// the host lane, so every lane scope, fork, event wait and join
+// collapses onto one cursor that adds up the same charges in the same
+// order as SimClock::total() — the synchronous schedule, in which every
+// fill finishes before the next stage starts. Only cross-rank waits
+// (message arrivals, collective rendezvous) move that cursor without a
+// charge. enable_named_lanes() switches to one cursor per named lane
+// (async-overlap runs): overlap appears only where a caller routes work
+// onto another lane (LaneScope, Stream::bind_lane) between a fork and a
+// join.
 //
 // Accounting:
 //   busy(lane)       modeled seconds of work charged on the lane
+//   busy_total()     all charges (== SimClock::total() after a reset)
 //   makespan()       max lane cursor = completion time of the rank
-//   serial_seconds() what the synchronous model would have charged for
-//                    the same run: every charge, PLUS the costs the
-//                    async model deliberately does not pay (a receiver
-//                    re-paying wire time, see Communicator::recv)
-//   overlap_seconds_saved() = serial_seconds() - makespan()
+//   overlap_seconds_saved() = busy_total() + imbalance_idle() - makespan()
 #pragma once
 
 #include <string>
@@ -37,23 +40,26 @@ namespace ramr::vgpu {
 class SimClock;
 
 /// Per-rank multi-lane virtual time. Not thread-safe: one rank, one
-/// thread, like the SimClock it attaches to.
+/// thread, like the SimClock that owns it.
 class Timeline {
  public:
   /// Lane 0 always exists: the host/compute lane every charge lands on
   /// unless a scope routes it elsewhere.
   static constexpr int kHostLane = 0;
 
-  /// Attaches to `clock`: every subsequent clock charge advances the
-  /// active lane. Detaches on destruction.
+  /// Built by `clock` (SimClock owns its timeline), in single-lane mode.
   explicit Timeline(SimClock& clock);
-  ~Timeline();
 
   Timeline(const Timeline&) = delete;
   Timeline& operator=(const Timeline&) = delete;
 
+  /// Switches from the single-lane mode to one cursor per named lane
+  /// (the async-overlap model). One-way: lanes never merge back.
+  void enable_named_lanes() { named_lanes_ = true; }
+  bool named_lanes() const { return named_lanes_; }
+
   /// Returns the lane with this name, creating it at the current host
-  /// cursor if it does not exist yet.
+  /// cursor if it does not exist yet. The host lane in single-lane mode.
   int lane(const std::string& name);
   std::size_t lane_count() const { return lanes_.size(); }
   const std::string& lane_name(int lane) const;
@@ -69,8 +75,7 @@ class Timeline {
 
   /// Collective rendezvous on the active lane: like advance(), but the
   /// forward jump is booked as imbalance idle — load-imbalance wait
-  /// that exists identically in the synchronous world yet is absent
-  /// from its serial account, so overlap_seconds_saved() excludes it
+  /// that overlap cannot remove, so overlap_seconds_saved() excludes it
   /// rather than mistaking it for lost overlap.
   void rendezvous(double t);
 
@@ -84,34 +89,25 @@ class Timeline {
   double makespan() const;
 
   /// makespan() with the imbalance idle removed: the completion time
-  /// comparable to the synchronous model's clock total, which is a pure
-  /// busy sum and never contained wait time. Use this when comparing
-  /// async and sync step times; by construction
-  /// comparable_seconds() == serial_seconds() - overlap_seconds_saved().
+  /// without load-imbalance waits, comparable across ranks and between
+  /// the single-lane and named-lane modes. By construction
+  /// comparable_seconds() == busy_total() - overlap_seconds_saved().
   double comparable_seconds() const { return makespan() - imbalance_idle_; }
 
   /// Work charged on one lane / on all lanes.
   double busy(int lane) const;
   double busy_total() const { return busy_total_; }
 
-  /// What the synchronous single-cursor model charges for the same run.
-  double serial_seconds() const { return busy_total_ + serial_only_; }
-
-  /// Records a cost the synchronous model pays that this model does not
-  /// (the receiver's serial re-pay of wire time).
-  void add_serial_only(double seconds) { serial_only_ += seconds; }
-
-  /// Modeled seconds the asynchronous schedule saves over the serial
-  /// one — the headline counter of the async subsystem: the comm/net
-  /// lane work hidden off the critical path (plus the receiver re-pays
-  /// that no longer exist), minus any time the critical path stalled on
-  /// wire that failed to hide. Imbalance idle — collective rendezvous
-  /// waits and the part of a message wait caused by a lagging sender —
-  /// is excluded from the comparison: it is pure load imbalance, present
-  /// identically in the synchronous world but absent from its serial
-  /// account.
+  /// Modeled seconds the lanes saved over running every charge back to
+  /// back — the headline counter of the async subsystem: the off-host
+  /// lane work (comm kernels, copy engines, wire) hidden behind other
+  /// lanes, minus any time the critical path stalled on a message whose
+  /// wire failed to hide. Imbalance idle — collective rendezvous waits
+  /// and the part of a message wait caused by a lagging sender — is
+  /// excluded: it is load imbalance, not overlap. 0 on a single-rank
+  /// single-lane run, where the cursor is the busy sum.
   double overlap_seconds_saved() const {
-    return serial_seconds() + imbalance_idle_ - makespan();
+    return busy_total_ + imbalance_idle_ - makespan();
   }
 
   /// Re-anchors every cursor at zero (benches reset with the clock).
@@ -141,33 +137,34 @@ class Timeline {
   };
 
   SimClock* clock_;
+  bool named_lanes_ = false;
   std::vector<Lane> lanes_;
   std::vector<int> active_stack_;
   double busy_total_ = 0.0;
-  double serial_only_ = 0.0;
   double imbalance_idle_ = 0.0;
 };
 
 /// RAII active-lane scope: charges within go to `lane`, forked from the
 /// previously active lane — or, with `preissued`, continuing from the
 /// lane's own cursor (work recorded on the lane earlier and gated on
-/// arrival events, not issued now). A null timeline or negative lane
+/// arrival events, not issued now). A negative lane (an unbound stream)
 /// makes the scope a no-op, so call sites need no branching.
 class LaneScope {
  public:
-  LaneScope(Timeline* timeline, int lane, bool preissued = false)
-      : timeline_(lane >= 0 ? timeline : nullptr) {
-    if (timeline_ != nullptr) {
-      if (preissued) {
-        timeline_->push_lane_preissued(lane);
-      } else {
-        timeline_->push_lane(lane);
-      }
+  LaneScope(Timeline& timeline, int lane, bool preissued = false)
+      : timeline_(timeline), active_(lane >= 0) {
+    if (!active_) {
+      return;
+    }
+    if (preissued) {
+      timeline_.push_lane_preissued(lane);
+    } else {
+      timeline_.push_lane(lane);
     }
   }
   ~LaneScope() {
-    if (timeline_ != nullptr) {
-      timeline_->pop_lane();
+    if (active_) {
+      timeline_.pop_lane();
     }
   }
 
@@ -175,7 +172,8 @@ class LaneScope {
   LaneScope& operator=(const LaneScope&) = delete;
 
  private:
-  Timeline* timeline_;
+  Timeline& timeline_;
+  bool active_;
 };
 
 }  // namespace ramr::vgpu

@@ -12,6 +12,7 @@
 // of the async subsystem (docs/device_topology.md).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,8 +79,8 @@ struct TopologySpec {
 };
 
 /// The devices of one rank. All share the rank's SimClock (and thus its
-/// Timeline when the async model is attached), so per-device busy time
-/// is separable by lane while modeled totals stay one account.
+/// Timeline), so per-device busy time is separable by lane under the
+/// async model while modeled totals stay one account.
 class Topology {
  public:
   /// Builds `spec.device_count` devices of type `device_spec`, charging
@@ -123,6 +124,52 @@ class Topology {
  private:
   TopologySpec spec_;
   std::vector<std::unique_ptr<Device>> devices_;
+};
+
+/// Per-device fan-out of one level-wide operation: on a multi-device
+/// rank each device's group runs on that device's compute lane, forked
+/// from the caller's active lane, so the devices work concurrently; the
+/// caller rejoins at the slowest lane when the fan-out is destroyed.
+/// Without a topology, or with one device, every group stays on the
+/// caller's lane.
+class DeviceFanOut {
+ public:
+  explicit DeviceFanOut(Topology* topology)
+      : topology_(topology != nullptr && topology->device_count() > 1
+                      ? topology
+                      : nullptr) {
+    if (topology_ != nullptr) {
+      join_ = timeline().now();
+    }
+  }
+  ~DeviceFanOut() {
+    if (topology_ != nullptr) {
+      Timeline& tl = timeline();
+      tl.advance(tl.active_lane(), join_);
+    }
+  }
+
+  DeviceFanOut(const DeviceFanOut&) = delete;
+  DeviceFanOut& operator=(const DeviceFanOut&) = delete;
+
+  /// Runs `body` as device `ordinal`'s group.
+  template <typename F>
+  void run(int ordinal, F&& body) {
+    if (topology_ == nullptr) {
+      body();
+      return;
+    }
+    Timeline& tl = timeline();
+    LaneScope scope(tl, tl.lane(Topology::gpu_lane_name(ordinal)));
+    body();
+    join_ = std::max(join_, tl.now());
+  }
+
+ private:
+  Timeline& timeline() { return topology_->device(0).timeline(); }
+
+  Topology* topology_;
+  double join_ = 0.0;
 };
 
 }  // namespace ramr::vgpu

@@ -13,23 +13,6 @@ using mesh::Box;
 using mesh::BoxList;
 using mesh::IntVector;
 
-namespace {
-
-/// Forks `dev`'s compute lane from the caller's active lane for a
-/// per-device fan-out scope. Returns -1 — a no-op LaneScope — without a
-/// timeline (single-device ranks pass tl == nullptr), so the launches
-/// stay on the caller's lane exactly as before.
-int fork_gpu_lane(vgpu::Timeline* tl, const vgpu::Device* dev) {
-  if (tl == nullptr || dev == nullptr) {
-    return -1;
-  }
-  const int lane = tl->lane(vgpu::Topology::gpu_lane_name(dev->ordinal()));
-  tl->advance(lane, tl->now(tl->active_lane()));
-  return lane;
-}
-
-}  // namespace
-
 std::unique_ptr<CoarsenSchedule> CoarsenAlgorithm::create_schedule(
     std::shared_ptr<hier::PatchLevel> coarse_level,
     std::shared_ptr<hier::PatchLevel> fine_level,
@@ -152,11 +135,7 @@ void CoarsenSchedule::prepare_scratch() {
   // Per-device fan-out: each group's coarsening launches ride the fine
   // patches' device lane, forked from the caller's lane; the caller
   // rejoins at the slowest device once every item has been issued.
-  vgpu::Timeline* tl =
-      ctx_->topology != nullptr && ctx_->topology->device_count() > 1
-          ? ctx_->timeline
-          : nullptr;
-  double join = tl != nullptr ? tl->now(tl->active_lane()) : 0.0;
+  vgpu::DeviceFanOut fan_out(ctx_->topology);
   for (std::size_t n = 0; n < items_.size(); ++n) {
     if (tasks_by_item[n].empty()) {
       continue;
@@ -182,15 +161,9 @@ void CoarsenSchedule::prepare_scratch() {
           group.push_back(t);
         }
       }
-      vgpu::LaneScope scope(tl, fork_gpu_lane(tl, key));
-      items_[n].op->coarsen_batched(group, ratio);
-      if (tl != nullptr) {
-        join = std::max(join, tl->now(tl->active_lane()));
-      }
+      fan_out.run(key->ordinal(),
+                  [&] { items_[n].op->coarsen_batched(group, ratio); });
     }
-  }
-  if (tl != nullptr) {
-    tl->advance(tl->active_lane(), join);
   }
 }
 

@@ -9,7 +9,6 @@
 #include "simmpi/communicator.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/sim_clock.hpp"
-#include "vgpu/timeline.hpp"
 
 namespace ramr::vgpu {
 class Topology;
@@ -38,17 +37,11 @@ struct ParallelContext {
   /// the compiled path skips the modeled per-message D2H before isend and
   /// H2D after receive (wire time is unchanged).
   bool gpu_direct = false;
-  /// Multi-lane timing model of the async-overlap runs, or null for the
-  /// synchronous single-cursor model. When set, split-phase schedule
-  /// execution charges its pack/send legs on the "comm" lane so their
-  /// wire time overlaps compute issued between begin and finish
-  /// (docs/async_overlap.md).
-  vgpu::Timeline* timeline = nullptr;
-  /// Widened overlap window (requires a timeline): every stencil stage
-  /// splits into an interior sweep that overlaps its halo exchange and a
-  /// rind sweep after it, and RefineSchedule::fill_begin() additionally
-  /// starts the strictly-interior part of the coarse gather so its wire
-  /// time hides too. False = the single EOS window of the original
+  /// Widened overlap window (requires named timeline lanes): every
+  /// stencil stage splits into an interior sweep that overlaps its halo
+  /// exchange and a rind sweep after it, and RefineSchedule::fill_begin()
+  /// additionally starts the strictly-interior part of the coarse gather
+  /// so its wire time hides too. False = the single EOS window of the original
   /// async-overlap subsystem (ablation; docs/async_overlap.md).
   bool wide_overlap = false;
   int next_tag = 1 << 10;

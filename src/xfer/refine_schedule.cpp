@@ -20,19 +20,6 @@ using mesh::IntVector;
 
 namespace {
 
-/// Forks `dev`'s compute lane from the caller's active lane for a
-/// per-device fan-out scope. Returns -1 — a no-op LaneScope — without a
-/// timeline (single-device ranks pass tl == nullptr), so the launches
-/// stay on the caller's lane exactly as before.
-int fork_gpu_lane(vgpu::Timeline* tl, const vgpu::Device* dev) {
-  if (tl == nullptr || dev == nullptr) {
-    return -1;
-  }
-  const int lane = tl->lane(vgpu::Topology::gpu_lane_name(dev->ordinal()));
-  tl->advance(lane, tl->now(tl->active_lane()));
-  return lane;
-}
-
 /// Largest ghost width over the scheduled items.
 IntVector max_ghosts(const std::vector<RefineItem>& items,
                      const hier::VariableDatabase& db) {
@@ -528,11 +515,7 @@ void RefineSchedule::clamp_fill_uncovered_scratch() {
   // Per-device fan-out as in interpolate_coarse_fills: each fill's clamp
   // launches ride its scratch's device lane; fills on different devices
   // extrapolate concurrently.
-  vgpu::Timeline* tl =
-      ctx_->topology != nullptr && ctx_->topology->device_count() > 1
-          ? ctx_->timeline
-          : nullptr;
-  double join = tl != nullptr ? tl->now(tl->active_lane()) : 0.0;
+  vgpu::DeviceFanOut fan_out(ctx_->topology);
   for (std::size_t f = 0; f < coarse_fills_.size(); ++f) {
     const CoarseFill& cf = coarse_fills_[f];
     if (cf.dst_owner != me || cf.uncovered_clamp.empty()) {
@@ -544,53 +527,48 @@ void RefineSchedule::clamp_fill_uncovered_scratch() {
       }
       pdat::PatchData* scratch = scratch_[f][n].get();
       vgpu::Device& dev = *scratch->transfer_device();
-      vgpu::Stream stream(dev, "xfer");
-      vgpu::LaneScope scope(tl, fork_gpu_lane(tl, &dev));
-      const mesh::Centering centering = scratch->centering();
-      const int ncomp = mesh::centering_components(centering);
-      for (int k = 0; k < ncomp; ++k) {
-        const mesh::Centering comp = mesh::component_centering(centering, k);
-        for (const auto& [uncovered, source] : cf.uncovered_clamp) {
-          const Box src = mesh::to_centering(source, comp);
-          // Write only indices no covered box owns: mapping cells to the
-          // component's index space widens the region onto seam
-          // node/side lines shared with covered neighbours, which the
-          // gather just filled with real data.
-          BoxList pieces(mesh::to_centering(uncovered, comp));
-          for (const Box& c : cf.covered.boxes()) {
-            pieces.remove_intersections(mesh::to_centering(c, comp));
-          }
-          const int ilo_s = src.lower().i;
-          const int ihi_s = src.upper().i;
-          const int jlo_s = src.lower().j;
-          const int jhi_s = src.upper().j;
-          for (int d = 0; d < scratch->depth(); ++d) {
-            for (const Box& piece : pieces.boxes()) {
-              // The kernel reads clamped indices inside `src`, so request
-              // the view over the union's bounding box, as the
-              // transfer_view contract promises validity only there.
-              const Box span(std::min(piece.lower().i, src.lower().i),
-                             std::min(piece.lower().j, src.lower().j),
-                             std::max(piece.upper().i, src.upper().i),
-                             std::max(piece.upper().j, src.upper().j));
-              util::View v = scratch->transfer_view(k, d, span);
-              dev.launch2d(stream, piece.lower().i, piece.lower().j,
-                           piece.width(), piece.height(),
-                           vgpu::KernelCost{0.0, 16.0}, [=](int i, int j) {
-                             v(i, j) = v(std::clamp(i, ilo_s, ihi_s),
-                                         std::clamp(j, jlo_s, jhi_s));
-                           });
+      fan_out.run(dev.ordinal(), [&] {
+        vgpu::Stream stream(dev, "xfer");
+        const mesh::Centering centering = scratch->centering();
+        const int ncomp = mesh::centering_components(centering);
+        for (int k = 0; k < ncomp; ++k) {
+          const mesh::Centering comp = mesh::component_centering(centering, k);
+          for (const auto& [uncovered, source] : cf.uncovered_clamp) {
+            const Box src = mesh::to_centering(source, comp);
+            // Write only indices no covered box owns: mapping cells to the
+            // component's index space widens the region onto seam
+            // node/side lines shared with covered neighbours, which the
+            // gather just filled with real data.
+            BoxList pieces(mesh::to_centering(uncovered, comp));
+            for (const Box& c : cf.covered.boxes()) {
+              pieces.remove_intersections(mesh::to_centering(c, comp));
+            }
+            const int ilo_s = src.lower().i;
+            const int ihi_s = src.upper().i;
+            const int jlo_s = src.lower().j;
+            const int jhi_s = src.upper().j;
+            for (int d = 0; d < scratch->depth(); ++d) {
+              for (const Box& piece : pieces.boxes()) {
+                // The kernel reads clamped indices inside `src`, so request
+                // the view over the union's bounding box, as the
+                // transfer_view contract promises validity only there.
+                const Box span(std::min(piece.lower().i, src.lower().i),
+                               std::min(piece.lower().j, src.lower().j),
+                               std::max(piece.upper().i, src.upper().i),
+                               std::max(piece.upper().j, src.upper().j));
+                util::View v = scratch->transfer_view(k, d, span);
+                dev.launch2d(stream, piece.lower().i, piece.lower().j,
+                             piece.width(), piece.height(),
+                             vgpu::KernelCost{0.0, 16.0}, [=](int i, int j) {
+                               v(i, j) = v(std::clamp(i, ilo_s, ihi_s),
+                                           std::clamp(j, jlo_s, jhi_s));
+                             });
+              }
             }
           }
         }
-      }
-      if (tl != nullptr) {
-        join = std::max(join, tl->now(tl->active_lane()));
-      }
+      });
     }
-  }
-  if (tl != nullptr) {
-    tl->advance(tl->active_lane(), join);
   }
 }
 
@@ -598,13 +576,9 @@ void RefineSchedule::interpolate_coarse_fills() {
   const int me = ctx_->my_rank;
   const IntVector ratio = dst_level_->ratio_to_coarser();
   // Fan the per-device groups onto the devices' compute lanes only on a
-  // multi-device rank: with one device fork_gpu_lane yields a no-op
-  // scope and the launches stay on the caller's lane, unchanged.
-  vgpu::Timeline* tl =
-      ctx_->topology != nullptr && ctx_->topology->device_count() > 1
-          ? ctx_->timeline
-          : nullptr;
-  double join = tl != nullptr ? tl->now(tl->active_lane()) : 0.0;
+  // multi-device rank: with one device the launches stay on the
+  // caller's lane.
+  vgpu::DeviceFanOut fan_out(ctx_->topology);
   // Batched by operator: the interpolation of a whole level costs one
   // fused refine_batched call per item per round instead of one launch
   // per (fill, piece). Tasks of one fused launch must not write the same
@@ -655,16 +629,10 @@ void RefineSchedule::interpolate_coarse_fills() {
             group.push_back(t);
           }
         }
-        vgpu::LaneScope scope(tl, fork_gpu_lane(tl, key));
-        items_[n].op->refine_batched(group, ratio);
-        if (tl != nullptr) {
-          join = std::max(join, tl->now(tl->active_lane()));
-        }
+        fan_out.run(key->ordinal(),
+                    [&] { items_[n].op->refine_batched(group, ratio); });
       }
     }
-  }
-  if (tl != nullptr) {
-    tl->advance(tl->active_lane(), join);
   }
 }
 
@@ -675,26 +643,16 @@ void RefineSchedule::execute_physical_boundaries() {
   // One level-wide call per device: each device's patches are filled by
   // the strategy in one go, on that device's compute lane, so a
   // multi-device rank applies physical BCs on all devices concurrently.
-  vgpu::Timeline* tl =
-      ctx_->topology != nullptr && ctx_->topology->device_count() > 1
-          ? ctx_->timeline
-          : nullptr;
-  double join = tl != nullptr ? tl->now(tl->active_lane()) : 0.0;
+  vgpu::DeviceFanOut fan_out(ctx_->topology);
   std::map<int, std::vector<hier::Patch*>> by_device;
   for (const auto& patch : dst_level_->local_patches()) {
     by_device[patch->device_ordinal()].push_back(patch.get());
   }
   for (const auto& [ordinal, patches] : by_device) {
-    vgpu::LaneScope scope(
-        tl, fork_gpu_lane(tl, tl != nullptr ? &ctx_->topology->device(ordinal)
-                                            : nullptr));
-    bc_->fill_physical_boundaries(patches, dst_level_->domain_box(), var_ids_);
-    if (tl != nullptr) {
-      join = std::max(join, tl->now(tl->active_lane()));
-    }
-  }
-  if (tl != nullptr) {
-    tl->advance(tl->active_lane(), join);
+    fan_out.run(ordinal, [&] {
+      bc_->fill_physical_boundaries(patches, dst_level_->domain_box(),
+                                    var_ids_);
+    });
   }
 }
 

@@ -339,13 +339,10 @@ void TransferSchedule::build_device_parts() {
   }
 }
 
-int TransferSchedule::device_lane(vgpu::Timeline* tl, int comm_lane,
+int TransferSchedule::device_lane(vgpu::Timeline& tl, int comm_lane,
                                   vgpu::Device* dev) {
-  if (tl == nullptr || comm_lane < 0) {
-    return comm_lane;
-  }
-  const int lane = tl->lane(vgpu::Topology::xfer_lane_name(dev->ordinal()));
-  tl->advance(lane, tl->now(comm_lane));
+  const int lane = tl.lane(vgpu::Topology::xfer_lane_name(dev->ordinal()));
+  tl.advance(lane, tl.now(comm_lane));
   flight_lanes_.push_back(lane);
   return lane;
 }
@@ -411,13 +408,13 @@ std::vector<util::View> TransferSchedule::resolve_views(const Plan& plan,
 void TransferSchedule::execute_compiled_begin() {
   vgpu::Device& dev = *plan_device_;
   vgpu::Stream stream(dev, "xfer");
-  // Under a timeline the whole begin phase runs on the comm lane: the
-  // pack launches and D2H crossings advance it (the comm stream is bound
-  // to it), the isends' wire time rides the network lane, and the
+  // The whole begin phase runs on the comm lane: the pack launches and
+  // D2H crossings advance it (the comm stream is bound to it), the
+  // isends' wire time rides the network lane, and under named lanes the
   // caller's compute lane does not move — whatever runs between begin
   // and finish overlaps this communication.
-  vgpu::Timeline* tl = ctx_->timeline;
-  const int comm_lane = tl != nullptr ? tl->lane("comm") : -1;
+  vgpu::Timeline& tl = dev.timeline();
+  const int comm_lane = tl.lane("comm");
   vgpu::LaneScope comm_scope(tl, comm_lane);
   stream.bind_lane(comm_lane);
 
@@ -435,7 +432,7 @@ void TransferSchedule::execute_compiled_begin() {
   //    cursor) — so the NEXT message's pack launch overlaps this
   //    message's bus crossing, exactly as CUDA streams overlap compute
   //    with the dedicated copy engines.
-  const int d2h_lane = tl != nullptr ? tl->lane("d2h") : -1;
+  const int d2h_lane = tl.lane("d2h");
   std::vector<pdat::MessageStream>& send_streams = flight_send_streams_;
   send_streams.reserve(send_messages_.size());
   std::vector<simmpi::Request>& sends = flight_sends_;
@@ -468,7 +465,7 @@ void TransferSchedule::execute_compiled_begin() {
         // comm cursor) so the devices gather concurrently; the join below
         // holds the message's bus crossing / isend until every partition
         // has finished.
-        double packed = tl != nullptr ? tl->now(comm_lane) : 0.0;
+        double packed = tl.now(comm_lane);
         for (const DevicePart& part : pack_parts_.at(peer)) {
           vgpu::Stream part_stream(*part.dev, "xfer");
           const int lane = device_lane(tl, comm_lane, part.dev);
@@ -477,13 +474,9 @@ void TransferSchedule::execute_compiled_begin() {
                                          vgpu::LaunchTag::kTransferPack);
           part.dev->launch_batched(part_stream, part.segs, kXferCost,
                                    pack_body);
-          if (tl != nullptr) {
-            packed = std::max(packed, tl->now(lane));
-          }
+          packed = std::max(packed, tl.now(lane));
         }
-        if (tl != nullptr) {
-          tl->advance(comm_lane, packed);
-        }
+        tl.advance(comm_lane, packed);
       }
     }
     // Wire leg: staging crossing (unless gpu_direct) + isend.
@@ -513,7 +506,7 @@ void TransferSchedule::execute_compiled_begin() {
       // later messages proceed on the comm lane concurrently. On a
       // multi-device rank the whole payload crosses on the message's
       // home device (the plan device).
-      vgpu::LaneScope d2h_scope(tl, comm_lane >= 0 ? d2h_lane : -1);
+      vgpu::LaneScope d2h_scope(tl, d2h_lane);
       dev.memcpy_d2h(dst, staging.device_ptr(), msg.payload_bytes);
       RAMR_REQUIRE(ms.size() == msg.wire_bytes,
                    "aggregated message to rank " << peer << " packed "
@@ -538,7 +531,7 @@ void TransferSchedule::execute_compiled_begin() {
   }
 }
 
-void TransferSchedule::execute_local_plan(vgpu::Timeline* tl, int comm_lane) {
+void TransferSchedule::execute_local_plan(vgpu::Timeline& tl, int comm_lane) {
   vgpu::AnnotationScope annotation(ctx_->clock, "xfer:local");
   vgpu::Device& dev = *plan_device_;
   vgpu::Stream stream(dev, "xfer");
@@ -688,9 +681,7 @@ void TransferSchedule::execute_local_plan(vgpu::Timeline* tl, int comm_lane) {
   for (const PeerFlight& f : flights) {
     const PeerPart& part = *f.part;
     const int dst_lane = device_lane(tl, comm_lane, part.dst_dev);
-    if (tl != nullptr) {
-      tl->advance(dst_lane, f.ready);
-    }
+    tl.advance(dst_lane, f.ready);
     const double* buf = f.dst_buf.device_ptr();
     vgpu::Stream part_stream(*part.dst_dev, "xfer");
     part_stream.bind_lane(dst_lane);
@@ -719,8 +710,8 @@ void TransferSchedule::execute_compiled_finish() {
   // side already does; the closing Event still joins the lane back into
   // the caller's, so completion is the max of the compute and
   // communication chains, never less than either.
-  vgpu::Timeline* tl = ctx_->timeline;
-  const int comm_lane = tl != nullptr ? tl->lane("comm") : -1;
+  vgpu::Timeline& tl = dev.timeline();
+  const int comm_lane = tl.lane("comm");
   {
     vgpu::LaneScope comm_scope(tl, comm_lane, /*preissued=*/true);
     stream.bind_lane(comm_lane);
@@ -731,7 +722,7 @@ void TransferSchedule::execute_compiled_finish() {
     //    before any scatter: message k+1's bus crossing overlaps message
     //    k's scatter kernel, with each scatter chained after its own
     //    upload's completion.
-    const int h2d_lane = tl != nullptr ? tl->lane("h2d") : -1;
+    const int h2d_lane = tl.lane("h2d");
     struct Arrived {
       int peer;
       vgpu::DeviceBuffer<double> staging;
@@ -763,11 +754,9 @@ void TransferSchedule::execute_compiled_finish() {
         // (which the arrival wait already advanced).
         dev.memcpy_h2d_direct(a.staging.device_ptr(), src, msg.payload_bytes);
       } else {
-        vgpu::LaneScope h2d_scope(tl, comm_lane >= 0 ? h2d_lane : -1);
+        vgpu::LaneScope h2d_scope(tl, h2d_lane);
         dev.memcpy_h2d(a.staging.device_ptr(), src, msg.payload_bytes);
-        if (tl != nullptr) {
-          a.uploaded_at = tl->now(h2d_lane);
-        }
+        a.uploaded_at = tl.now(h2d_lane);
       }
       RAMR_REQUIRE(ms.fully_consumed(), "aggregated message from rank " << peer
                    << " not fully consumed: " << ms.read_position() << " of "
@@ -780,10 +769,8 @@ void TransferSchedule::execute_compiled_finish() {
         continue;
       }
       vgpu::AnnotationScope unpack_annotation(ctx_->clock, "xfer:unpack");
-      if (tl != nullptr) {
-        // The scatter cannot start before its payload is device-resident.
-        tl->advance(comm_lane, a.uploaded_at);
-      }
+      // The scatter cannot start before its payload is device-resident.
+      tl.advance(comm_lane, a.uploaded_at);
       const std::vector<util::View> views =
           resolve_views(plan, /*src_side=*/false);
       const PlanSeg* ops = plan.ops.data();
@@ -818,18 +805,16 @@ void TransferSchedule::execute_compiled_finish() {
       ctx_->comm->wait_all(flight_sends_);
     }
   }
-  if (tl != nullptr) {
-    // Join: the exchange's writes are visible to the caller only once
-    // the comm lane — and, on a multi-device rank, every per-device
-    // transfer lane this exchange used — has drained.
-    vgpu::Event done;
-    done.record(stream);
-    double join = done.timestamp();
-    for (const int lane : flight_lanes_) {
-      join = std::max(join, tl->now(lane));
-    }
-    tl->advance(tl->active_lane(), join);
+  // Join: the exchange's writes are visible to the caller only once the
+  // comm lane — and, on a multi-device rank, every per-device transfer
+  // lane this exchange used — has drained.
+  vgpu::Event done;
+  done.record(stream);
+  double join = done.timestamp();
+  for (const int lane : flight_lanes_) {
+    join = std::max(join, tl.now(lane));
   }
+  tl.advance(tl.active_lane(), join);
 }
 
 }  // namespace ramr::xfer

@@ -152,9 +152,9 @@ class TransferSchedule {
 
   /// Split-phase execution: execute_begin() posts every receive, issues
   /// the fused pack launches + one isend per peer message, and runs the
-  /// local-copy apply (snapshot included) — under an attached timeline
-  /// (ParallelContext::timeline) all of it on the "comm" lane, with the
-  /// wire legs on the network lane, so everything the caller runs before
+  /// local-copy apply (snapshot included) — all of it on the clock
+  /// timeline's "comm" lane, with the wire legs on the network lane, so
+  /// under named lanes everything the caller runs before
   /// execute_finish() overlaps the communication.
   /// execute_finish() waits for the messages, uploads + fused-unpacks
   /// them, completes the sends, and joins the comm lane back into the
@@ -277,12 +277,12 @@ class TransferSchedule {
   void build_device_parts();
   void execute_compiled_begin();
   void execute_compiled_finish();
-  void execute_local_plan(vgpu::Timeline* tl, int comm_lane);
+  void execute_local_plan(vgpu::Timeline& tl, int comm_lane);
   /// Forks `dev`'s per-device transfer lane from the comm lane's cursor
   /// and remembers it for the closing join (multi-device ranks: each
   /// device's plan partitions serialize on their own lane, not on the
-  /// single comm lane). Returns comm_lane itself without a timeline.
-  int device_lane(vgpu::Timeline* tl, int comm_lane, vgpu::Device* dev);
+  /// single comm lane).
+  int device_lane(vgpu::Timeline& tl, int comm_lane, vgpu::Device* dev);
   std::vector<util::View> resolve_views(const Plan& plan, bool src_side) const;
 
   ParallelContext* ctx_ = nullptr;

@@ -368,31 +368,6 @@ TEST(BalanceBoxes, MortonAssignmentInvariantUnderInputPermutation) {
   }
 }
 
-TEST(BalanceBoxes, GreedyAssignmentInvariantUnderInputPermutation) {
-  std::vector<Box> boxes;
-  boxes.emplace_back(0, 0, 49, 49);
-  boxes.emplace_back(100, 0, 139, 39);
-  for (int k = 0; k < 7; ++k) {
-    boxes.emplace_back(200 + 12 * k, 0, 200 + 12 * k + 7 + k, 9);
-  }
-  BalanceParams p;
-  p.method = BalanceMethod::kGreedy;
-  p.max_patch_cells = 1 << 20;  // no chopping
-  const auto ref = balance_boxes(boxes, 3, p);
-  std::vector<Box> reversed(boxes.rbegin(), boxes.rend());
-  std::vector<Box> rotated(boxes.begin() + 4, boxes.end());
-  rotated.insert(rotated.end(), boxes.begin(), boxes.begin() + 4);
-  for (const auto& permuted : {reversed, rotated}) {
-    const auto got = balance_boxes(permuted, 3, p);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t n = 0; n < ref.size(); ++n) {
-      EXPECT_EQ(got[n].box, ref[n].box);
-      EXPECT_EQ(got[n].owner_rank, ref[n].owner_rank);
-      EXPECT_EQ(got[n].global_id, ref[n].global_id);
-    }
-  }
-}
-
 TEST(BalanceBoxes, AssignsEveryBoxWithDenseIds) {
   BalanceParams p;
   p.max_patch_cells = 256;
@@ -416,24 +391,6 @@ TEST(BalanceBoxes, MortonBalanceIsReasonable) {
     EXPECT_LT(load_imbalance(patches, ranks), 1.35)
         << ranks << " ranks";
   }
-}
-
-TEST(BalanceBoxes, GreedyBalancesBetterOnUnevenBoxes) {
-  std::vector<Box> boxes;
-  boxes.emplace_back(0, 0, 99, 99);    // big
-  for (int k = 0; k < 10; ++k) {
-    boxes.emplace_back(200 + 10 * k, 0, 200 + 10 * k + 4, 4);  // small
-  }
-  BalanceParams greedy;
-  greedy.method = BalanceMethod::kGreedy;
-  greedy.max_patch_cells = 1 << 20;  // no chopping
-  const auto patches = balance_boxes(boxes, 2, greedy);
-  // The big box lands alone on one rank; all small ones on the other.
-  std::int64_t load[2] = {0, 0};
-  for (const auto& gp : patches) {
-    load[gp.owner_rank] += gp.box.size();
-  }
-  EXPECT_EQ(std::max(load[0], load[1]), 100 * 100);
 }
 
 TEST(BalanceBoxes, DeterministicAcrossCalls) {

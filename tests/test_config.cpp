@@ -141,6 +141,17 @@ TEST(Config, RejectsOutOfRangeValuesNamingThePath) {
   expect_config_error("{\"problem\": \"sodd\"}", "problem");
 }
 
+TEST(Config, RejectsGreedyBalanceMethodAsUnknownValue) {
+  // Ranks are partitioned along the Morton curve only ("measured" adds
+  // measured per-device costs to it); the greedy largest-first method
+  // no longer exists, so its name is an unknown value.
+  expect_config_error("{\"amr\": {\"balance_method\": \"greedy\"}}",
+                      "amr.balance_method");
+  const cfg::RunConfig c = cfg::parse_run_config_text(
+      "{\"amr\": {\"balance_method\": \"measured\"}}");
+  EXPECT_EQ(c.sim.balance_method, amr::BalanceMethod::kMeasured);
+}
+
 TEST(Config, Ratio3IsFineOnASingleLevel) {
   const cfg::RunConfig c = cfg::parse_run_config_text(
       "{\"amr\": {\"ratio\": 3, \"max_levels\": 1}}");

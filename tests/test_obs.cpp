@@ -174,7 +174,8 @@ TEST(TraceRecorder, ClockResetClearsTheRing) {
 
 TEST(TraceRecorder, TimelineWaitsAndRendezvousRecordAsIdleSpans) {
   SimClock clock;
-  Timeline tl(clock);
+  Timeline& tl = clock.timeline();
+  tl.enable_named_lanes();
   TraceRecorder rec(clock, 16);
   clock.charge(1.0);
   const int comm = tl.lane("comm");
@@ -264,7 +265,7 @@ TEST(ObsSimulation, ChargeSpanSumsReproduceTimelineBusyBitwise) {
   ASSERT_NE(rec, nullptr);
   ASSERT_EQ(rec->dropped(), 0u);
   Timeline* tl = sim.timeline();
-  ASSERT_NE(tl, nullptr);
+  ASSERT_TRUE(tl->named_lanes());
 
   // Accumulate charge-span durations per lane in record order: the same
   // doubles, added in the same order, as Lane::busy.
@@ -328,7 +329,7 @@ TEST(ObsSimulation, TwoRankTwoDeviceAsyncRunShadowsAllAccounting) {
     ASSERT_NE(rec, nullptr);
     ASSERT_EQ(rec->dropped(), 0u);
     Timeline* tl = sim.timeline();
-    ASSERT_NE(tl, nullptr);
+    ASSERT_TRUE(tl->named_lanes());
 
     std::vector<double> busy(tl->lane_count(), 0.0);
     std::uint64_t by_tag[vgpu::kLaunchTagCount] = {};
@@ -420,12 +421,13 @@ TEST(ObsSimulation, TracingIsBitIdenticalToNoObservabilityBlock) {
 
 TEST(TraceExport, ChromeTraceDocumentIsParseableAndLabelled) {
   SimClock clock;
-  Timeline tl(clock);
+  Timeline& tl = clock.timeline();
+  tl.enable_named_lanes();
   TraceRecorder rec(clock, 16);
   rec.begin_step(0);
   clock.charge_to("kernel", 1.0);
   {
-    vgpu::LaneScope scope(&tl, tl.lane("net"));
+    vgpu::LaneScope scope(tl, tl.lane("net"));
     clock.charge_to("wire", 0.5);
   }
   std::vector<cfg::Json> ranks;
@@ -602,7 +604,7 @@ TEST(MetricsSimulation, RunReportIncludesDirectedPeerLinkBusyAndIdle) {
   sim.run(4);
 
   Timeline* tl = sim.timeline();
-  ASSERT_NE(tl, nullptr);
+  ASSERT_TRUE(tl->named_lanes());
   // The report's trailing composite summary launches a reduction (real
   // modeled cost), so the makespan its peer_links used is the one BEFORE
   // the call.

@@ -19,6 +19,7 @@
 #include "app/simulation.hpp"
 #include "cfg/config.hpp"
 #include "pdat/cuda/cuda_data.hpp"
+#include "util/fnv1a.hpp"
 #include "vgpu/device_spec.hpp"
 
 namespace ramr::amr {
@@ -26,16 +27,8 @@ namespace {
 
 using mesh::Box;
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+using util::fnv1a;
+using util::kFnvOffset;
 
 /// A box list as recorded: count, total cells, FNV-1a over the corners.
 struct BoxListDigest {

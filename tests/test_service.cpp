@@ -96,6 +96,28 @@ TEST(Service, RunsConcurrentJobsBitIdenticalToStandalone) {
   EXPECT_LT(fs.fused_seconds, fs.serial_seconds);
 }
 
+TEST(Service, SingleLaneCursorIsTheClockTotalBitwise) {
+  // The shared device's clock keeps a single-lane timeline: launch
+  // fusion reorders charges, and the one cursor adds up exactly what the
+  // clock total adds, in the same order — so the service's modeled
+  // numbers are the clock totals, bit for bit.
+  svc::ServerConfig sc;
+  sc.max_concurrent_jobs = 2;
+  sc.fuse_across_jobs = true;
+  svc::SimulationServer server(sc);
+  for (int j = 0; j < 3; ++j) {
+    server.submit({"sod_" + std::to_string(j), small_sod(5)});
+  }
+  server.run();
+  EXPECT_EQ(server.jobs_completed(), 3);
+  const vgpu::Timeline& tl = server.clock().timeline();
+  EXPECT_FALSE(tl.named_lanes());
+  EXPECT_GT(server.clock().total(), 0.0);
+  EXPECT_EQ(tl.makespan(), server.clock().total());
+  EXPECT_EQ(tl.comparable_seconds(), server.clock().total());
+  EXPECT_EQ(tl.busy_total(), server.clock().total());
+}
+
 TEST(Service, PerJobMetricsSurfaceTransferAndGriddingCounters) {
   svc::SimulationServer server(svc::ServerConfig{});
   server.submit({"sod", small_sod(6)});
@@ -126,7 +148,7 @@ TEST(Service, PerJobMetricsSurfaceTransferAndGriddingCounters) {
   }
   EXPECT_GT(metric(*windows, "state", "fills"), 0.0);
 
-  // Synchronous jobs carry no timeline, so no overlap block.
+  // Single-lane jobs overlap nothing, so no overlap block.
   EXPECT_EQ(m.find("overlap"), nullptr);
 }
 

@@ -233,7 +233,8 @@ TEST(Communicator, BarrierSynchronises) {
 TEST(Communicator, NetworkCostCharged) {
   const NetworkSpec net = cray_gemini();
   World world(2, net);
-  std::vector<double> times(2, 0.0);
+  std::vector<double> times(2, -1.0);
+  std::vector<double> done(2, -1.0);
   world.run([&](Communicator& comm) {
     const std::vector<double> payload(1 << 14, 1.0);
     if (comm.rank() == 0) {
@@ -242,10 +243,16 @@ TEST(Communicator, NetworkCostCharged) {
       (void)comm.recv(0, 1);
     }
     times[static_cast<std::size_t>(comm.rank())] = comm.clock().total();
+    done[static_cast<std::size_t>(comm.rank())] =
+        comm.clock().timeline().makespan();
   });
   const double expected = net.message_time((1 << 14) * sizeof(double));
   EXPECT_NEAR(times[0], expected, expected * 1e-9);  // sender pays
-  EXPECT_NEAR(times[1], expected, expected * 1e-9);  // receiver pays
+  EXPECT_NEAR(done[0], expected, expected * 1e-9);
+  // The receiver pays nothing: it waits for the arrival, so it completes
+  // when the wire does.
+  EXPECT_DOUBLE_EQ(times[1], 0.0);
+  EXPECT_NEAR(done[1], expected, expected * 1e-9);
 }
 
 TEST(Communicator, AllreduceCostScalesWithLogP) {

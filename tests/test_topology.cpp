@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "amr/load_balancer.hpp"
@@ -60,7 +61,8 @@ TEST(Topology, PresetLinksAndCopyTime) {
 
 TEST(PeerCopy, ChargesTheDirectedLinkLane) {
   vgpu::SimClock clock;
-  vgpu::Timeline tl(clock);
+  vgpu::Timeline& tl = clock.timeline();
+  tl.enable_named_lanes();
   TopologySpec spec;
   spec.device_count = 2;
   Topology topo(spec, vgpu::tesla_k20x(), &clock);
@@ -101,7 +103,8 @@ TEST(PeerCopy, FallsBackToPcieWithoutLinkParameters) {
   // Devices outside a Topology never get set_peer_link: a peer copy then
   // stages through the host port at PCIe cost.
   vgpu::SimClock clock;
-  vgpu::Timeline tl(clock);
+  vgpu::Timeline& tl = clock.timeline();
+  tl.enable_named_lanes();
   const vgpu::DeviceSpec spec = vgpu::tesla_k20x();
   vgpu::Device a(spec, &clock), b(spec, &clock);
   b.set_ordinal(1);
@@ -203,6 +206,34 @@ app::SimulationConfig multi_cfg(int devices, bool gpu_direct) {
     cfg.balance_method = amr::BalanceMethod::kMeasured;
   }
   return cfg;
+}
+
+TEST(MultiDevice, SyncMeasuredAssignmentKeepsUniformRates) {
+  // A single-lane timeline has no per-device lanes, so kMeasured sees no
+  // per-device busy time and keeps uniform seconds-per-cell rates. The
+  // expected patch->device string was recorded from the model without
+  // any timeline on the synchronous path; reading the host lane's busy
+  // time for every device instead flips the level-1 assignment.
+  app::SimulationConfig cfg = multi_cfg(2, false);
+  cfg.async_overlap = false;
+  cfg.nx = 80;
+  cfg.ny = 48;
+  cfg.max_patch_cells = 20 * 20;
+  app::Simulation sim(cfg, nullptr);
+  sim.initialize();
+  sim.run(7);
+  ASSERT_EQ(sim.gridding_stats().regrids, 2);
+  std::string devices;
+  auto& h = sim.hierarchy();
+  for (int l = 0; l < h.num_levels(); ++l) {
+    if (l > 0) {
+      devices += '|';
+    }
+    for (const auto& patch : h.level(l).local_patches()) {
+      devices += static_cast<char>('0' + patch->device_ordinal());
+    }
+  }
+  EXPECT_EQ(devices, "0101010101010101|01010101");
 }
 
 TEST(MultiDevice, PhysicsBitIdenticalAcrossDeviceCounts) {

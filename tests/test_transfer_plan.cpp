@@ -17,6 +17,7 @@
 #include "hier/patch_hierarchy.hpp"
 #include "pdat/cuda/cuda_data.hpp"
 #include "simmpi/communicator.hpp"
+#include "util/fnv1a.hpp"
 #include "vgpu/topology.hpp"
 #include "xfer/refine_schedule.hpp"
 
@@ -100,16 +101,8 @@ std::uint64_t tag_count(const vgpu::Device& dev, LaunchTag tag) {
   return dev.launch_count(tag);
 }
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+using util::fnv1a;
+using util::kFnvOffset;
 
 std::uint64_t bits_of(double v) {
   std::uint64_t b = 0;

@@ -39,18 +39,17 @@ TEST(SimClock, ChargesToCurrentComponent) {
   EXPECT_DOUBLE_EQ(clock.total(), 5.0);
 }
 
-TEST(SimClock, MergeAndReset) {
+TEST(SimClock, ResetZeroesComponentsAndTimeline) {
   SimClock a;
-  SimClock b;
   a.charge_to("x", 1.0);
-  b.charge_to("x", 2.0);
-  b.charge_to("y", 3.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.component("x"), 3.0);
-  EXPECT_DOUBLE_EQ(a.component("y"), 3.0);
-  EXPECT_DOUBLE_EQ(a.total(), 6.0);
+  a.charge_to("y", 3.0);
+  EXPECT_DOUBLE_EQ(a.total(), 4.0);
+  EXPECT_DOUBLE_EQ(a.timeline().makespan(), 4.0);
   a.reset();
   EXPECT_DOUBLE_EQ(a.total(), 0.0);
+  EXPECT_DOUBLE_EQ(a.component("x"), 0.0);
+  EXPECT_DOUBLE_EQ(a.timeline().makespan(), 0.0);
+  EXPECT_DOUBLE_EQ(a.timeline().busy_total(), 0.0);
 }
 
 TEST(Device, MemoryAccountingAndCapacity) {

@@ -474,5 +474,44 @@ TEST(WideOverlap, SavesMoreThanTheSingleWindowOnDistributedConfig) {
   (void)narrow_worst;
 }
 
+TEST(WideOverlap, WindowsTogetherSaveNoMoreThanTheCommWorkTheyIssued) {
+  // hidden_frac over all windows stays <= 1 on every rank: the windows
+  // together hide at most the off-host-lane work (comm kernels, copy
+  // engines, wire) they issued. Crediting each receiver with a wire
+  // re-pay it never makes broke this bound on the underloaded rank.
+  // Single windows can still exceed 1: a window's trailing wire hides
+  // behind the NEXT window's compute and is credited there.
+  constexpr int kRanks = 2;
+  app::SimulationConfig cfg;
+  cfg.problem = "sod";
+  cfg.nx = 192;
+  cfg.ny = 192;
+  cfg.max_levels = 2;
+  cfg.regrid_interval = 1000;  // no regrid: exchanges only
+  cfg.max_patch_cells = 32 * 32;
+  cfg.min_patch_size = 8;
+  cfg.async_overlap = true;
+  cfg.wide_overlap = true;
+  std::mutex mu;
+  int ranks_hiding = 0;
+  simmpi::World world(kRanks, simmpi::fdr_infiniband());
+  world.run([&](simmpi::Communicator& comm) {
+    app::Simulation sim(cfg, &comm);
+    sim.initialize();
+    sim.run(4);
+    const app::TransferCounters& tc = sim.integrator().transfer_counters();
+    double saved = 0.0;
+    double comm_seconds = 0.0;
+    for (const auto& win : tc.window) {
+      saved += win.overlap_seconds_saved;
+      comm_seconds += win.comm_seconds;
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_LE(saved, comm_seconds) << "rank " << comm.rank();
+    ranks_hiding += saved > 0.0 ? 1 : 0;
+  });
+  EXPECT_EQ(ranks_hiding, kRanks);
+}
+
 }  // namespace
 }  // namespace ramr
